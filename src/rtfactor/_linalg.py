@@ -1,16 +1,19 @@
 """Small exact linear algebra helpers shared across modules.
 
+* ``mat_mul``: matrix product, skipping zero entries.
+* ``linear_combination``: the sum of c_a M_a over paired coefficients and
+  matrices.
+* ``exact_rank``: rank over the rationals.
+* ``mat_inv``: inverse of a square matrix over the rationals.
+
 Everything here works on lists-of-lists over an exact ring (Fraction, or any
-type with +, -, * and a truthy zero test).  No pivoting strategy games: these
-matrices are small and exact, so plain Gaussian elimination is enough.
+type with +, -, * and a truthy zero test); ``mat_mul`` takes the ring's zero
+as an argument.  No pivoting strategy games: these matrices are small and
+exact, so plain Gaussian elimination is enough.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def identity(n: int, one=Fraction(1), zero=Fraction(0)):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b, zero=Fraction(0)):
@@ -32,19 +35,17 @@ def mat_mul(a, b, zero=Fraction(0)):
     return out
 
 
-def mat_vec(a, v, zero=Fraction(0)):
-    out = []
-    for row in a:
-        acc = zero
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
+def linear_combination(coeffs, mats):
+    """Sum of c * M over paired coefficients and equal-shape matrices."""
+    out = [[Fraction(0)] * len(row) for row in mats[0]] if mats else []
+    for c, m in zip(coeffs, mats):
+        if not c:
+            continue
+        for orow, mrow in zip(out, m):
+            for j, x in enumerate(mrow):
+                if x:
+                    orow[j] = orow[j] + c * x
     return out
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def exact_rank(rows) -> int:

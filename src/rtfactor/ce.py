@@ -22,8 +22,8 @@ from itertools import combinations
 from math import comb
 
 from ._linalg import exact_rank, mat_mul
-from .errors import DimensionMismatch, DimensionTooLarge
-from .lie import LieAlgebra, Representation
+from .errors import DimensionTooLarge
+from .lie import LieAlgebra, Representation, check_bracket_compatible
 from .ring import rat
 
 MAX_ALGEBRA_DIM = 10
@@ -52,39 +52,15 @@ def make_super_module(g: LieAlgebra, even_dim: int, odd_dim: int, action) -> Sup
     """Validate block structure and bracket compatibility, then freeze."""
     n = even_dim + odd_dim
     mats = [[[rat(x) for x in row] for row in m] for m in action]
-    if len(mats) != g.dim:
-        raise DimensionMismatch(
-            f"module action has {len(mats)} matrices for a {g.dim}-dim algebra")
-    for m in mats:
-        if len(m) != n or any(len(row) != n for row in m):
-            raise DimensionMismatch("module action matrix has wrong shape")
+    check_bracket_compatible(g, mats, n, "module action")
     for a, m in enumerate(mats):
         for i in range(n):
             for j in range(n):
                 if ((i < even_dim) != (j < even_dim)) and m[i][j]:
                     raise ValueError(
                         f"action matrix {a} mixes parities at entry ({i}, {j})")
-    for a in range(g.dim):
-        for b in range(a + 1, g.dim):
-            comm = _commutator(mats[a], mats[b])
-            want = [[Fraction(0)] * n for _ in range(n)]
-            for c in range(g.dim):
-                coeff = g.structure_constants[a][b][c]
-                if coeff:
-                    for i in range(n):
-                        for j in range(n):
-                            want[i][j] += coeff * mats[c][i][j]
-            if comm != want:
-                raise ValueError(
-                    f"module action not bracket compatible on basis pair ({a}, {b})")
     frozen = tuple(tuple(tuple(row) for row in m) for m in mats)
     return SuperModule(even_dim, odd_dim, frozen)
-
-
-def _commutator(x, y):
-    xy = mat_mul(x, y)
-    yx = mat_mul(y, x)
-    return [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(xy, yx)]
 
 
 def trivial_module(g: LieAlgebra, dim: int = 1) -> SuperModule:

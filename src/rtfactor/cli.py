@@ -27,7 +27,7 @@ from .clifford import partition_function_identity
 from .confint import (framed_self_linking, framing_twist_turns, gauss_linking,
                       hopf_pair, torus_knot, twisted_circle, unit_circle,
                       curves_from_json, writhe_integral)
-from .diagram import CATALOG, link_from_json, pd_from_sliced, resolve_link, writhe
+from .diagram import link_from_json, pd_from_sliced, resolve_link, writhe
 from .errors import ParseError, RTFactorError, UnknownName
 from .kauffman import jones_polynomial, kauffman_bracket
 from .lie import (InvariantPairing, LieAlgebra, Representation,
@@ -38,9 +38,6 @@ from .rt import (framed_invariant, hbar_expand_invariant, jones_from_quantum,
                  normalized_invariant, writhe_corrected_invariant)
 from .weights import (BicoloredGraph, coupled_weight, graph_from_json,
                       lie_weight, symmetry_factor)
-
-# Convenience names accepted wherever a catalog link is expected.
-_LINK_ALIASES = {"trefoil": "trefoil_right", "hopf": "hopf_pos"}
 
 _DEFAULT_SAMPLES = 512
 _DEFAULT_EPSILON = 0.1
@@ -59,13 +56,13 @@ def _read_text(path: str) -> str:
 
 
 def _load_link(spec: str):
-    """Catalog name (aliases allowed), braid string, inline JSON, or file."""
-    s = _LINK_ALIASES.get(spec.strip(), spec.strip())
-    if s in CATALOG or s.startswith("{") or s.startswith("B"):
-        return resolve_link(s)
-    if os.path.isfile(s):
-        return link_from_json(_read_text(s))
-    return resolve_link(s)
+    """Catalog name or alias, braid string, inline JSON, or file."""
+    try:
+        return resolve_link(spec)
+    except UnknownName:
+        if os.path.isfile(spec.strip()):
+            return link_from_json(_read_text(spec.strip()))
+        raise
 
 
 def _load_algebra(spec: str) -> tuple[LieAlgebra, Representation | None]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from ._linalg import exact_rank
+from ._linalg import exact_rank, linear_combination, mat_mul
 from .errors import DimensionMismatch, DimensionTooLarge, TraceNotZero
 from .lie import LieAlgebra, Representation
 from .ring import HSeries, rat, series_exp, series_inverse, series_log
@@ -240,25 +240,14 @@ def _coordinate_matrix(rho: Representation, coords) -> list[list[Fraction]]:
     if len(coords) != len(rho.matrices):
         raise DimensionMismatch(
             f"coordinate vector has length {len(coords)}, algebra has {len(rho.matrices)}")
-    n = rho.dim
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for a, ca in enumerate(coords):
-        ca = rat(ca)
-        if ca:
-            for i in range(n):
-                for j in range(n):
-                    m[i][j] += ca * rho.matrices[a][i][j]
-    return m
+    return linear_combination([rat(c) for c in coords], rho.matrices)
 
 
 def _matrix_powers(m, order):
     n = len(m)
     powers = [[[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]]
     for _ in range(order):
-        prev = powers[-1]
-        nxt = [[sum((prev[i][k] * m[k][j] for k in range(n)), Fraction(0))
-                for j in range(n)] for i in range(n)]
-        powers.append(nxt)
+        powers.append(mat_mul(powers[-1], m))
     return powers
 
 
@@ -318,13 +307,7 @@ def wheel_term(rho: Representation, coords, order: int) -> HSeries:
     td_m = [[HSeries.make(order, [td.coeffs[k] * powers[k][i][j]
                                   for k in range(order + 1)])
              for j in range(n)] for i in range(n)]
-    prod = [[HSeries.zero(order) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = HSeries.zero(order)
-            for k in range(n):
-                acc = acc + exp_m[i][k] * td_m[k][j]
-            prod[i][j] = acc
+    prod = mat_mul(exp_m, td_m, zero=HSeries.zero(order))
     return -series_log(_series_det(prod, order))
 
 

@@ -168,6 +168,37 @@ def writhe(t: SlicedTangle) -> int:
 # PD codes
 # ---------------------------------------------------------------------------
 
+class UnionFind:
+    """Disjoint classes of hashable items, with full path compression.
+
+    ``union(a, b)`` hangs the root of a's class below the root of b's, so
+    the roots (and any labelling derived from them) depend only on the
+    order of the unions.
+    """
+
+    def __init__(self, items=()):
+        self.parent = {x: x for x in items}
+
+    def add(self, x) -> None:
+        self.parent[x] = x
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def class_count(self) -> int:
+        return len({self.find(x) for x in self.parent})
+
+
 @dataclass(frozen=True)
 class PDCode:
     """Crossings as (sign, (in_left, in_right, out_left, out_right)) with the
@@ -183,22 +214,12 @@ def pd_from_sliced(t: SlicedTangle) -> PDCode:
     """Arc-trace a closed sliced tangle into a PD code."""
     if not t.closed:
         raise OpenTangle("PD codes are built for closed diagrams")
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
+    arcs = UnionFind()
     fresh = iter(range(1, 10 ** 9))
 
     def new_arc() -> int:
         a = next(fresh)
-        parent[a] = a
+        arcs.add(a)
         return a
 
     strands: list[int] = []
@@ -211,7 +232,7 @@ def pd_from_sliced(t: SlicedTangle) -> PDCode:
             strands[pos:pos] = [a, a]
         elif piece == CAP:
             a, b = strands[pos], strands[pos + 1]
-            union(a, b)
+            arcs.union(a, b)
             del strands[pos:pos + 2]
         else:
             sign = 1 if piece == POS_CROSS else -1
@@ -223,31 +244,24 @@ def pd_from_sliced(t: SlicedTangle) -> PDCode:
     relabel: dict[int, int] = {}
 
     def canon(x: int) -> int:
-        r = find(x)
+        r = arcs.find(x)
         if r not in relabel:
             relabel[r] = len(relabel) + 1
         return relabel[r]
 
     out_crossings = tuple((sign, tuple(canon(x) for x in quad))
                           for sign, quad in crossings)
-    all_arcs = {canon(x) for x in parent}
+    all_arcs = {canon(x) for x in arcs.parent}
     return PDCode(out_crossings, frozenset(all_arcs))
 
 
 def pd_components(pd: PDCode) -> int:
     """Number of link components: follow each strand through its crossings."""
-    parent: dict[int, int] = {a: a for a in pd.arcs}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    strands = UnionFind(pd.arcs)
     for _, (a, b, c, d) in pd.crossings:
-        parent[find(a)] = find(d)   # in_left continues to out_right
-        parent[find(b)] = find(c)   # in_right continues to out_left
-    return len({find(a) for a in pd.arcs})
+        strands.union(a, d)   # in_left continues to out_right
+        strands.union(b, c)   # in_right continues to out_left
+    return strands.class_count()
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +305,22 @@ def link_from_json(text: str) -> LinkSpec:
         b = make_braid(int(braid["strands"]), [int(x) for x in braid["word"]])
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad braid object: {e}") from None
-    kinks = int(data.get("framing_kinks", 0))
+    try:
+        kinks = int(data.get("framing_kinks", 0))
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"bad framing_kinks: {e}") from None
     return LinkSpec(b, kinks)
 
 
+# Convenience names for catalog entries.
+LINK_ALIASES = {"trefoil": "trefoil_right", "hopf": "hopf_pos"}
+
+
 def resolve_link(spec: str) -> LinkSpec:
-    """Accept a catalog name, a braid string `B<s>:...`, or a link JSON."""
+    """Accept a catalog name or alias, a braid string `B<s>:...`, or a link
+    JSON."""
     s = spec.strip()
+    s = LINK_ALIASES.get(s, s)
     if s in CATALOG:
         return CATALOG[s]
     if s.startswith("{"):

@@ -71,7 +71,8 @@ class ArityMismatch(RTFactorError):
 
 
 class TooManyCrossings(RTFactorError):
-    """State sum capped at 24 crossings (2^c states)."""
+    """State sum over more than kauffman.MAX_STATE_SUM_CROSSINGS crossings
+    (2^c states)."""
 
 
 class NonInvertibleNormalizer(RTFactorError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diagram import PDCode
+from .diagram import PDCode, UnionFind
 from .errors import TooManyCrossings
 from .ring import LaurentPoly
 
@@ -24,29 +24,6 @@ MAX_STATE_SUM_CROSSINGS = 24
 def loop_value() -> LaurentPoly:
     """Value of a closed loop: -A^2 - A^{-2}."""
     return LaurentPoly.q_power(2, 1, -1) + LaurentPoly.q_power(-2, 1, -1)
-
-
-class _ArcUnion:
-    """Union-find over arc labels, used to count loops in a smoothing."""
-
-    def __init__(self, labels):
-        self.parent = {a: a for a in labels}
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def class_count(self) -> int:
-        return len({self.find(a) for a in self.parent})
 
 
 def _smoothing_pairs(crossing, choose_a: bool):
@@ -86,7 +63,7 @@ def kauffman_bracket(pd: PDCode, normalized: bool = True) -> LaurentPoly:
     total = LaurentPoly.zero()
     num = len(crossings)
     for state in range(1 << num):
-        merges = _ArcUnion(pd.arcs)
+        merges = UnionFind(pd.arcs)  # arcs joined into loops
         a_count = 0
         for i, crossing in enumerate(crossings):
             choose_a = not (state >> i) & 1

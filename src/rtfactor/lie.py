@@ -13,12 +13,14 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from ._linalg import exact_rank, mat_mul
+from ._linalg import exact_rank, linear_combination, mat_mul
 from .errors import (
     AntisymmetryViolation,
     DimensionMismatch,
     JacobiViolation,
+    ParseError,
     UnknownName,
 )
 from .ring import rat
@@ -80,8 +82,7 @@ def make_lie_algebra(structure_constants) -> LieAlgebra:
         for b in range(a, d):
             for c in range(d):
                 if f[a][b][c] != -f[b][a][c]:
-                    raise AntisymmetryViolation(
-                        f"structure constants not antisymmetric at {(a, b, c)}")
+                    raise AntisymmetryViolation((a, b, c))
     for a in range(d):
         for b in range(a + 1, d):
             for c in range(b + 1, d):
@@ -92,8 +93,7 @@ def make_lie_algebra(structure_constants) -> LieAlgebra:
                                 + f[b][c][m] * f[m][a][k]
                                 + f[c][a][m] * f[m][b][k])
                     if acc:
-                        raise JacobiViolation(
-                            f"Jacobi identity fails at index quadruple {(a, b, c, k)}")
+                        raise JacobiViolation((a, b, c, k))
     frozen = tuple(tuple(tuple(row) for row in plane) for plane in f)
     return LieAlgebra(d, frozen)
 
@@ -147,28 +147,31 @@ def check_invariant_pairing(g: LieAlgebra, pairing: InvariantPairing) -> Pairing
     return PairingReport(not violations, tuple(violations))
 
 
-def check_representation(g: LieAlgebra, rep: Representation) -> None:
-    """Assert rho([x, y]) = rho(x) rho(y) - rho(y) rho(x) on all basis pairs."""
+def check_bracket_compatible(g: LieAlgebra, mats, n: int, what: str) -> None:
+    """Assert one n x n matrix per basis element with
+    [rho(e_a), rho(e_b)] = sum_c f_ab^c rho(e_c) on all basis pairs.
+
+    ``what`` names the matrices in error messages.  Raises DimensionMismatch
+    on a wrong count or shape, ValueError on a failing pair.
+    """
     d = g.dim
-    if len(rep.matrices) != d:
+    if len(mats) != d:
         raise DimensionMismatch(
-            f"representation has {len(rep.matrices)} matrices for a {d}-dim algebra")
-    n = rep.dim
-    for m in rep.matrices:
+            f"{what} has {len(mats)} matrices for a {d}-dim algebra")
+    for m in mats:
         if len(m) != n or any(len(row) != n for row in m):
-            raise DimensionMismatch("representation matrix has wrong shape")
+            raise DimensionMismatch(f"{what} matrix has wrong shape")
     for a in range(d):
         for b in range(a + 1, d):
-            comm = _commutator(rep.matrices[a], rep.matrices[b])
-            want = [[Fraction(0)] * n for _ in range(n)]
-            for c in range(d):
-                coeff = g.structure_constants[a][b][c]
-                if coeff:
-                    for i in range(n):
-                        for j in range(n):
-                            want[i][j] += coeff * rep.matrices[c][i][j]
-            if comm != want:
-                raise ValueError(f"bracket compatibility fails on basis pair ({a}, {b})")
+            want = linear_combination(g.structure_constants[a][b], mats)
+            if _commutator(mats[a], mats[b]) != want:
+                raise ValueError(
+                    f"{what} not bracket compatible on basis pair ({a}, {b})")
+
+
+def check_representation(g: LieAlgebra, rep: Representation) -> None:
+    """Assert rho([x, y]) = rho(x) rho(y) - rho(y) rho(x) on all basis pairs."""
+    check_bracket_compatible(g, rep.matrices, rep.dim, "representation")
 
 
 def _commutator(x, y):
@@ -305,8 +308,13 @@ def _abelian(d: int) -> tuple[LieAlgebra, Representation]:
 _BUILTIN_RE = re.compile(r"^\s*([a-z0-9_]+)\s*(?:\(\s*(\d+)\s*\))?\s*$")
 
 
+@lru_cache(maxsize=32)
 def builtin(name: str) -> tuple[LieAlgebra, Representation | None]:
-    """Look up a named algebra: sl2, sl3, so3, sl2_irrep(k), sln_fundamental(n), abelian(d)."""
+    """Look up a named algebra: sl2, sl3, so3, sl2_irrep(k), sln_fundamental(n), abelian(d).
+
+    Results are immutable and cached, so repeated lookups of one name
+    validate the algebra once and return the same objects.
+    """
     m = _BUILTIN_RE.match(name)
     if not m:
         raise UnknownName(f"cannot parse algebra name {name!r}")
@@ -346,15 +354,27 @@ def algebra_to_json(g: LieAlgebra) -> str:
 
 
 def algebra_from_json(text: str) -> LieAlgebra:
-    """Parse the JSON format of algebra_to_json (0-based indices)."""
-    data = json.loads(text)
+    """Parse the JSON format of algebra_to_json (0-based indices).
+
+    Raises ParseError on malformed JSON or entries, DimensionMismatch on a
+    bad dimension or an index out of range.
+    """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad algebra JSON: {exc}") from None
+    if not isinstance(data, dict) or "dim" not in data:
+        raise ParseError("algebra JSON needs an object with a 'dim' field")
     d = data["dim"]
     if not isinstance(d, int) or d < 1:
         raise DimensionMismatch("dim must be a positive integer")
     f = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for entry in data.get("brackets", []):
-        a, b, c, v = entry
-        if not all(0 <= i < d for i in (a, b, c)):
-            raise DimensionMismatch(f"bracket index out of range in {entry}")
-        f[a][b][c] = Fraction(str(v))
+    try:
+        for entry in data.get("brackets", []):
+            a, b, c, v = entry
+            if not all(0 <= i < d for i in (a, b, c)):
+                raise DimensionMismatch(f"bracket index out of range in {entry}")
+            f[a][b][c] = Fraction(str(v))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad bracket entry: {exc}") from None
     return make_lie_algebra(f)

@@ -18,9 +18,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from ._linalg import mat_inv, mat_mul
+from .diagram import UnionFind
 from .errors import (
     DimensionTooLarge,
     OpenFermionPath,
@@ -96,17 +97,10 @@ def _is_connected(vertices, legs, edges) -> bool:
             owner[h] = i
     for l in legs:
         owner[l] = ("leg", l)
-    parent = {x: x for x in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    components = UnionFind(nodes)
     for a, b in edges:
-        parent[find(owner[a])] = find(owner[b])
-    return len({find(x) for x in nodes}) == 1
+        components.union(owner[a], owner[b])
+    return components.class_count() == 1
 
 
 def theta_graph() -> JacobiGraph:
@@ -236,8 +230,7 @@ def _graded_inverse(orders):
             for r in range(dim):
                 for c in range(dim):
                     acc[r][c] += step[r][c]
-        inv.append([[-sum(base[r][m] * acc[m][c] for m in range(dim))
-                     for c in range(dim)] for r in range(dim)])
+        inv.append([[-x for x in row] for row in mat_mul(base, acc)])
     return inv
 
 
@@ -407,7 +400,7 @@ def coupled_weight(graph: BicoloredGraph, g: LieAlgebra, rho: Representation,
     for cycle in _fermion_cycles(graph):
         halves = tuple(v[0] for v in cycle)
         cycle_tensor = {}
-        for assignment in _index_tuples(dim, len(cycle)):
+        for assignment in product(range(dim), repeat=len(cycle)):
             prod = None
             for a in assignment:
                 mat = rho.matrices[a]
@@ -421,13 +414,6 @@ def coupled_weight(graph: BicoloredGraph, g: LieAlgebra, rho: Representation,
     for _ in range(graph.fermion_loops):
         scalar = tuple(loop * x for x in scalar)
     return _as_result(scalar, m)
-
-
-def _index_tuples(dim, count):
-    out = [()]
-    for _ in range(count):
-        out = [t + (i,) for t in out for i in range(dim)]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,22 @@ def test_cohomology_rep_coefficients(capsys):
     assert payload["betti"] == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--algebra", "{bad"],
+    ["cohomology", "--algebra", '{"brackets": []}'],
+    ["cohomology", "--algebra", '{"dim": 2, "brackets": [[0, 1, 1, "abc"]]}'],
+    ["cohomology", "--algebra", '{"dim": 2, "brackets": [[0, 1]]}'],
+    ["cohomology", "--algebra", '{"dim": 2, "brackets": [["x", 1, 1, "1"]]}'],
+    ["jones", "--link",
+     '{"braid": {"strands": 1, "word": []}, "framing_kinks": "abc"}'],
+])
+def test_malformed_json_is_a_domain_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_cohomology_bulk_rejects_rep_coefficients():
     with pytest.raises(SystemExit) as exc:
         main(["cohomology", "--algebra", "sl2",

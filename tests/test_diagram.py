@@ -10,6 +10,7 @@ from rtfactor.diagram import (
     NEG_CROSS,
     POS_CROSS,
     BraidWord,
+    UnionFind,
     braid_closure_sliced,
     braid_permutation,
     link_from_json,
@@ -147,6 +148,18 @@ def test_pd_component_counts():
     assert pd_components(pd) == 2
 
 
+def test_union_find_classes():
+    uf = UnionFind(range(5))
+    uf.add(7)
+    assert uf.class_count() == 6
+    uf.union(0, 1)
+    uf.union(2, 1)
+    uf.union(7, 4)
+    assert uf.find(0) == uf.find(2) == 1
+    assert uf.find(7) == 4
+    assert uf.class_count() == 3
+
+
 def test_components_match_braid_permutation_cycles():
     rng = random.Random(515)
     for _ in range(25):
@@ -175,10 +188,14 @@ def test_link_json_roundtrip():
         link_from_json('{"word": [1]}')
     with pytest.raises(ParseError):
         link_from_json('not json')
+    with pytest.raises(ParseError):
+        link_from_json('{"braid": {"strands": 1, "word": []}, "framing_kinks": "abc"}')
 
 
 def test_resolve_link():
     assert resolve_link("trefoil_right") is CATALOG["trefoil_right"]
+    assert resolve_link("trefoil") is CATALOG["trefoil_right"]
+    assert resolve_link(" hopf ") is CATALOG["hopf_pos"]
     assert resolve_link("B2:1,1").braid == BraidWord(2, (1, 1))
     assert resolve_link('{"braid": {"strands": 1, "word": []}}').braid == BraidWord(1, ())
     with pytest.raises(UnknownName):

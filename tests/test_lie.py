@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 
 from rtfactor._linalg import exact_rank
-from rtfactor.errors import AntisymmetryViolation, DimensionMismatch, JacobiViolation, UnknownName
+from rtfactor.errors import (
+    AntisymmetryViolation,
+    DimensionMismatch,
+    JacobiViolation,
+    ParseError,
+    UnknownName,
+)
 from rtfactor.lie import (
     InvariantPairing,
     algebra_from_json,
@@ -33,8 +39,10 @@ def test_antisymmetry_rejected():
     f = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     f[1][2][0] = 1
     f[2][1][0] = 1
-    with pytest.raises(AntisymmetryViolation):
+    with pytest.raises(AntisymmetryViolation) as exc:
         make_lie_algebra(f)
+    assert exc.value.indices == (1, 2, 0)
+    assert str(exc.value).count("not antisymmetric") == 1
 
 
 def test_jacobi_rejected():
@@ -44,8 +52,10 @@ def test_jacobi_rejected():
     for (a, b, c) in [(0, 1, 2), (0, 2, 0)]:
         f[a][b][c] = Fraction(1)
         f[b][a][c] = Fraction(-1)
-    with pytest.raises(JacobiViolation):
+    with pytest.raises(JacobiViolation) as exc:
         make_lie_algebra(f)
+    assert exc.value.indices == (0, 1, 2, 2)
+    assert str(exc.value).count("Jacobi identity fails") == 1
 
 
 def test_non_cubic_rejected():
@@ -142,6 +152,10 @@ def test_sln_fundamental_is_traceless():
         assert sum(m[i][i] for i in range(3)) == 0
 
 
+def test_builtin_is_cached():
+    assert builtin("sl3") is builtin("sl3")
+
+
 def test_unknown_name_raises():
     for bad in ["e8", "sl2_irrep", "abelian", "sl(2)", ""]:
         with pytest.raises(UnknownName):
@@ -167,3 +181,23 @@ def test_json_roundtrip_all_builtins():
 def test_json_rational_coefficients():
     g = algebra_from_json('{"dim": 2, "brackets": [[0, 1, 1, "1/2"], [1, 0, 1, "-1/2"]]}')
     assert g.bracket(0, 1) == [Fraction(0), Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("text", [
+    '{bad',
+    '[1, 2]',
+    '{"brackets": []}',
+    '{"dim": 2, "brackets": [[0, 1, 1, "abc"]]}',
+    '{"dim": 2, "brackets": [[0, 1, 1, "1/0"]]}',
+    '{"dim": 2, "brackets": [[0, 1]]}',
+    '{"dim": 2, "brackets": [["x", 1, 1, "1"]]}',
+    '{"dim": 2, "brackets": 5}',
+])
+def test_algebra_json_parse_errors(text):
+    with pytest.raises(ParseError):
+        algebra_from_json(text)
+
+
+def test_algebra_json_index_out_of_range():
+    with pytest.raises(DimensionMismatch):
+        algebra_from_json('{"dim": 2, "brackets": [[0, 2, 1, "1"]]}')
