@@ -301,15 +301,17 @@ def link_from_json(text: str) -> LinkSpec:
     if not isinstance(data, dict) or "braid" not in data:
         raise ParseError("link JSON needs a 'braid' object")
     braid = data["braid"]
-    try:
-        b = make_braid(int(braid["strands"]), [int(x) for x in braid["word"]])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad braid object: {e}") from None
-    try:
-        kinks = int(data.get("framing_kinks", 0))
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"bad framing_kinks: {e}") from None
-    return LinkSpec(b, kinks)
+    if not isinstance(braid, dict) or not {"strands", "word"} <= braid.keys():
+        raise ParseError("braid object needs 'strands' and 'word'")
+    strands, word = braid["strands"], braid["word"]
+    if not isinstance(word, list):
+        raise ParseError("braid 'word' must be a list")
+    kinks = data.get("framing_kinks", 0)
+    for what, value in [("strands", strands), ("framing_kinks", kinks),
+                        *(("word letter", x) for x in word)]:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParseError(f"bad {what} {value!r}: not an integer")
+    return LinkSpec(make_braid(strands, word), kinks)
 
 
 # Convenience names for catalog entries.

@@ -19,11 +19,20 @@ from ._linalg import exact_rank, linear_combination, mat_mul
 from .errors import (
     AntisymmetryViolation,
     DimensionMismatch,
+    DimensionTooLarge,
     JacobiViolation,
     ParseError,
     UnknownName,
 )
 from .ring import rat
+
+# Parsing refuses larger algebras before allocating their dim^3 structure
+# constants.  cohomology (ce.MAX_ALGEBRA_DIM) and weights
+# (weights.MAX_WEIGHT_ALGEBRA_DIM) admit less; character admits a JSON
+# algebra equal to a builtin with a representation, and sln_fundamental(4)
+# at 15 is the largest whose Jacobi check (about dim^5 / 2 rational
+# products) ends in seconds.
+MAX_PARSED_ALGEBRA_DIM = 15
 
 
 @dataclass(frozen=True)
@@ -357,7 +366,8 @@ def algebra_from_json(text: str) -> LieAlgebra:
     """Parse the JSON format of algebra_to_json (0-based indices).
 
     Raises ParseError on malformed JSON or entries, DimensionMismatch on a
-    bad dimension or an index out of range.
+    bad dimension or an index out of range, DimensionTooLarge above
+    MAX_PARSED_ALGEBRA_DIM.
     """
     try:
         data = json.loads(text)
@@ -368,6 +378,9 @@ def algebra_from_json(text: str) -> LieAlgebra:
     d = data["dim"]
     if not isinstance(d, int) or d < 1:
         raise DimensionMismatch("dim must be a positive integer")
+    if d > MAX_PARSED_ALGEBRA_DIM:
+        raise DimensionTooLarge(
+            f"algebra dimension {d} exceeds {MAX_PARSED_ALGEBRA_DIM}")
     f = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     try:
         for entry in data.get("brackets", []):

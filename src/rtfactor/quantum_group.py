@@ -46,17 +46,16 @@ def lmat_mul(a, b) -> tuple:
 
 
 def lmat_kron(a, b) -> tuple:
-    na, nb = len(a), len(b)
+    """Kronecker product of two (possibly rectangular) matrices."""
     out = []
-    for i in range(na):
-        for k in range(nb):
+    for arow in a:
+        for brow in b:
             row = []
-            for j in range(na):
-                aij = a[i][j]
+            for aij in arow:
                 if aij:
-                    row.extend(aij * b[k][l] for l in range(nb))
+                    row.extend(aij * v for v in brow)
                 else:
-                    row.extend([ZERO] * nb)
+                    row.extend([ZERO] * len(brow))
             out.append(tuple(row))
     return tuple(out)
 

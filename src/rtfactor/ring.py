@@ -5,7 +5,10 @@ Three value types, all immutable:
 * ``Rational``      -- alias of ``fractions.Fraction`` (already reduced, positive
   denominator), used everywhere exactness matters.
 * ``LaurentPoly``   -- Laurent polynomial in ``u = q^(1/N)`` for a stored root
-  order ``N``; binary operations align root orders by lcm.
+  order ``N``; binary operations align root orders by lcm.  Integral
+  coefficients are stored as ``int`` and only the others as ``Fraction``,
+  so the common integer case pays no gcd per operation; the two forms
+  compare and hash equal, and the queries return ``Fraction``.
 * ``HSeries``       -- power series in ``h`` truncated at an explicit inclusive
   order, with exact rational coefficients.
 
@@ -42,13 +45,14 @@ class LaurentPoly:
     """Laurent polynomial in u = q^(1/root_order), exact rational coefficients.
 
     Values are kept in a reduced canonical form: no zero coefficients, terms
-    sorted by exponent, and the root order divided down by the gcd of itself
-    and all exponents.  Because of that, structural equality implements
-    "equal after re-expressing to a common root order".
+    sorted by exponent, integral coefficients stored as int, and the root
+    order divided down by the gcd of itself and all exponents.  Because of
+    that, structural equality implements "equal after re-expressing to a
+    common root order".
     """
 
     root_order: int
-    terms: tuple[tuple[int, Fraction], ...]  # (exponent of u, coefficient)
+    terms: tuple[tuple[int, int | Fraction], ...]  # (exponent of u, coefficient)
 
     # -- construction ------------------------------------------------------
 
@@ -64,7 +68,7 @@ class LaurentPoly:
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly(1, ((0, Fraction(1)),))
+        return LaurentPoly(1, ((0, 1),))
 
     @staticmethod
     def const(c) -> "LaurentPoly":
@@ -80,19 +84,23 @@ class LaurentPoly:
     # -- ring structure ----------------------------------------------------
 
     def _aligned(self, other: "LaurentPoly"):
-        n = lcm(self.root_order, other.root_order)
-        a = {e * (n // self.root_order): c for e, c in self.terms}
-        b = {e * (n // other.root_order): c for e, c in other.terms}
-        return n, a, b
+        """Common root order and both term tuples re-expressed in it."""
+        m, k = self.root_order, other.root_order
+        if m == k:
+            return m, self.terms, other.terms
+        n = lcm(m, k)
+        return (n, tuple((e * (n // m), c) for e, c in self.terms),
+                tuple((e * (n // k), c) for e, c in other.terms))
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         n, a, b = self._aligned(other)
-        for e, c in b.items():
-            a[e] = a.get(e, Fraction(0)) + c
-        return _canon(n, a)
+        out = dict(a)
+        for e, c in b:
+            out[e] = out.get(e, 0) + c
+        return _canon(n, out)
 
     __radd__ = __add__
 
@@ -118,11 +126,16 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         n, a, b = self._aligned(other)
-        out: dict[int, Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            ((eb, cb),) = b
+            return _canon(n, {ea + eb: ca * cb for ea, ca in a})
+        out: dict[int, int | Fraction] = {}
+        for ea, ca in a:
+            for eb, cb in b:
                 e = ea + eb
-                out[e] = out.get(e, Fraction(0)) + ca * cb
+                out[e] = out.get(e, 0) + ca * cb
         return _canon(n, out)
 
     __rmul__ = __mul__
@@ -136,7 +149,7 @@ class LaurentPoly:
             e, c = self.terms[0]
             if c * c != 1:
                 raise ValueError("negative powers only for unit-coefficient monomials")
-            return _canon(self.root_order, {e * k: c**k})
+            return _canon(self.root_order, {e * k: rat(c) ** k})
         result = LaurentPoly.one()
         base = self
         while k:
@@ -163,12 +176,12 @@ class LaurentPoly:
             return Fraction(0)
         for e, c in self.terms:
             if e == scaled:
-                return c
+                return rat(c)
         return Fraction(0)
 
     def exponents(self) -> dict[Fraction, Fraction]:
         """Map from q-exponent (as a Fraction) to coefficient."""
-        return {Fraction(e, self.root_order): c for e, c in self.terms}
+        return {Fraction(e, self.root_order): rat(c) for e, c in self.terms}
 
     def at_one(self) -> Fraction:
         """Evaluate at q = 1."""
@@ -190,24 +203,25 @@ class LaurentPoly:
             return LaurentPoly.zero()
         n, a, b = self._aligned(d)
         rem = dict(a)
-        d_low = min(b)
-        d_low_c = b[d_low]
-        quo: dict[int, Fraction] = {}
+        d_low, d_low_c = b[0]
+        # every quotient exponent lies in [min a - min b, max a - max b]
+        top = max(rem) - b[-1][0]
+        quo: dict[int, int | Fraction] = {}
         # peel from the bottom; each step strictly raises the lowest exponent
         while rem:
             r_low = min(rem)
             t_e = r_low - d_low
-            t_c = rem[r_low] / d_low_c
+            if t_e > top:
+                raise ValueError("not exactly divisible")
+            t_c = rat(rem[r_low]) / d_low_c
             quo[t_e] = t_c
-            for eb, cb in b.items():
+            for eb, cb in b:
                 e = eb + t_e
-                v = rem.get(e, Fraction(0)) - cb * t_c
+                v = rem.get(e, 0) - cb * t_c
                 if v:
                     rem[e] = v
                 elif e in rem:
                     del rem[e]
-            if len(quo) > len(a) + len(b) + 64:
-                raise ValueError("not exactly divisible")
         return _canon(n, quo)
 
 
@@ -219,16 +233,23 @@ def _coerce(x):
     return NotImplemented
 
 
-def _canon(root_order: int, coeffs: dict[int, Fraction]) -> LaurentPoly:
-    clean = {e: rat(c) for e, c in coeffs.items() if c != 0}
+def _coefficient(c) -> int | Fraction:
+    """Canonical form of a non-int coefficient: int when integral, else a
+    reduced Fraction."""
+    c = rat(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _canon(root_order: int, coeffs: dict[int, int | Fraction]) -> LaurentPoly:
+    clean = {e: c if type(c) is int else _coefficient(c)
+             for e, c in coeffs.items() if c}
     if not clean:
         return LaurentPoly(1, ())
-    g = root_order
-    for e in clean:
-        g = gcd(g, abs(e))
-    if g > 1:
-        clean = {e // g: c for e, c in clean.items()}
-        root_order //= g
+    if root_order > 1:
+        g = gcd(root_order, *clean)
+        if g > 1:
+            clean = {e // g: c for e, c in clean.items()}
+            root_order //= g
     return LaurentPoly(root_order, tuple(sorted(clean.items())))
 
 
@@ -440,6 +461,14 @@ _TERM_RE = re.compile(
 )
 
 
+def _parse_rational(text: str) -> Fraction:
+    """A matched '3' or '3/4'; a zero denominator is a ParseError."""
+    den = text.partition("/")[2]
+    if den and int(den) == 0:
+        raise ParseError(f"zero denominator in {text!r}")
+    return Fraction(text)
+
+
 def _split_signed_terms(text: str) -> list[tuple[int, str]]:
     out = []
     i = 0
@@ -482,13 +511,13 @@ def parse_laurent(text: str, var: str = "q") -> LaurentPoly:
             raise ParseError(f"unexpected variable {m.group('var')!r}, wanted {var!r}")
         if m.group("exp") and not m.group("var"):
             raise ParseError(f"exponent without variable in {chunk!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        coeff = _parse_rational(m.group("coeff")) if m.group("coeff") else 1
         if m.group("var") is None:
             exp = Fraction(0)
         elif m.group("exp") is None:
             exp = Fraction(1)
         else:
-            exp = Fraction(m.group("exp"))
+            exp = _parse_rational(m.group("exp"))
         result = result + LaurentPoly.q_power(exp.numerator, exp.denominator, sign * coeff)
     return result
 
@@ -535,7 +564,7 @@ def parse_hseries(text: str, var: str = "h") -> HSeries:
                 raise ParseError(f"cannot parse series term {chunk!r}")
             if tm.group("var") not in (None, var):
                 raise ParseError(f"unexpected variable in {chunk!r}")
-            coeff = Fraction(tm.group("coeff")) if tm.group("coeff") else Fraction(1)
+            coeff = _parse_rational(tm.group("coeff")) if tm.group("coeff") else Fraction(1)
             if tm.group("var") is None:
                 k = 0
             elif tm.group("exp") is None:

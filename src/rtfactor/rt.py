@@ -7,17 +7,24 @@ the cross-check of those invariants against the skein-theoretic oracle
 and the formal expansion around h = 0 whose low-order coefficients are
 finite-type invariants.
 
-The running state is a matrix whose rows are indexed by the strand
-states of the current width (position 0 is the most significant digit)
-and whose columns are indexed by the input boundary states.  Local
-pieces act by index arithmetic on the row space; nothing of size
-n^(2 * width) is ever materialized.
+The running state is sparse: a dict from (strand labels of the current
+slice, input column) to a nonzero coefficient.  Each piece acts through
+the nonzero entries of its local matrix only: a crossing sends the
+labels at its two positions through the braiding (or its inverse), a
+cup inserts each nonzero coevaluation pair and a cap contracts its pair
+against the evaluation; entries that cancel are dropped after every
+slice.  The braiding commutes with the Cartan
+action, so weight conservation keeps the support far below the n^width
+label tuples of a slice.  The dense matrix (rows indexed by output
+labels, position 0 the most significant digit) is built once, at the
+end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .diagram import (
     CAP,
@@ -54,69 +61,20 @@ class TangleValue:
     matrix: tuple  # n^output_arity rows, n^input_arity columns
 
 
-def _pair_op(state, width, n, pos, op, cols):
-    """Apply a two-strand operator at (pos, pos + 1); width is unchanged."""
-    stride = n ** (width - 2 - pos)
-    pairs = n * n
-    new_state = [None] * len(state)
-    for high in range(n ** pos):
-        base = high * pairs * stride
-        for low in range(stride):
-            old_rows = [state[base + p * stride + low] for p in range(pairs)]
-            for new_pair in range(pairs):
-                op_row = op[new_pair]
-                acc = [ZERO] * cols
-                for old_pair in range(pairs):
-                    c = op_row[old_pair]
-                    if not c:
-                        continue
-                    src = old_rows[old_pair]
-                    for j in range(cols):
-                        v = src[j]
-                        if v:
-                            acc[j] = acc[j] + c * v
-                new_state[base + new_pair * stride + low] = acc
-    return new_state
+def _local_moves(matrix, n, arity_in, arity_out):
+    """Nonzero entries of a local piece, grouped by input labels.
 
-
-def _insert_pair(state, width, n, pos, cup, cols):
-    """Create two strands at pos weighted by the cup matrix; width + 2."""
-    stride = n ** (width - pos)
-    zero_row = [ZERO] * cols
-    new_state = []
-    for high in range(n ** pos):
-        for a in range(n):
-            for b in range(n):
-                c = cup[a][b]
-                for low in range(stride):
-                    if not c:
-                        new_state.append(zero_row[:])
-                    else:
-                        src = state[high * stride + low]
-                        new_state.append([c * v if v else ZERO for v in src])
-    return new_state
-
-
-def _contract_pair(state, width, n, pos, cap, cols):
-    """Close two strands at pos against the cap matrix; width - 2."""
-    stride = n ** (width - 2 - pos)
-    pairs = n * n
-    new_state = []
-    for high in range(n ** pos):
-        base = high * pairs * stride
-        for low in range(stride):
-            acc = [ZERO] * cols
-            for pair in range(pairs):
-                c = cap[pair // n][pair % n]
-                if not c:
-                    continue
-                src = state[base + pair * stride + low]
-                for j in range(cols):
-                    v = src[j]
-                    if v:
-                        acc[j] = acc[j] + c * v
-            new_state.append(acc)
-    return new_state
+    ``matrix`` has n^arity_out rows and n^arity_in columns, both indexed
+    with the first strand as the most significant digit.  The result maps
+    each input label tuple to its (output label tuple, coefficient) pairs.
+    """
+    inputs = list(product(range(n), repeat=arity_in))
+    moves = {labels: [] for labels in inputs}
+    for out, row in zip(product(range(n), repeat=arity_out), matrix):
+        for labels, c in zip(inputs, row):
+            if c:
+                moves[labels].append((out, c))
+    return moves
 
 
 def evaluate_sliced_tangle(t: SlicedTangle, rep: RibbonRep) -> TangleValue:
@@ -128,32 +86,42 @@ def evaluate_sliced_tangle(t: SlicedTangle, rep: RibbonRep) -> TangleValue:
     not fit the running width.
     """
     n = rep.n
+    # piece -> (strands consumed, strands produced, local moves)
+    pieces = {
+        ID: (1, 1, None),
+        POS_CROSS: (2, 2, _local_moves(rep.R, n, 2, 2)),
+        NEG_CROSS: (2, 2, _local_moves(rep.R_inv, n, 2, 2)),
+        CUP: (0, 2, _local_moves([(c,) for row in rep.cup for c in row], n, 0, 2)),
+        CAP: (2, 0, _local_moves([[c for row in rep.cap for c in row]], n, 2, 0)),
+    }
     width = t.input_arity
-    cols = n ** width
-    state = [[ONE if i == j else ZERO for j in range(cols)] for i in range(cols)]
+    # (strand labels of the current slice, input column) -> coefficient;
+    # only nonzero entries are kept.
+    state = {(labels, col): ONE for col, labels
+             in enumerate(product(range(n), repeat=width))}
     for piece, pos in t.slices:
-        if piece == ID:
-            if not 0 <= pos < width:
-                raise ArityMismatch(f"id at {pos}, width {width}")
-        elif piece in (POS_CROSS, NEG_CROSS):
-            if not 0 <= pos <= width - 2:
-                raise ArityMismatch(f"crossing at {pos}, width {width}")
-            op = rep.R if piece == POS_CROSS else rep.R_inv
-            state = _pair_op(state, width, n, pos, op, cols)
-        elif piece == CUP:
-            if not 0 <= pos <= width:
-                raise ArityMismatch(f"cup at {pos}, width {width}")
-            state = _insert_pair(state, width, n, pos, rep.cup, cols)
-            width += 2
-        elif piece == CAP:
-            if not 0 <= pos <= width - 2:
-                raise ArityMismatch(f"cap at {pos}, width {width}")
-            state = _contract_pair(state, width, n, pos, rep.cap, cols)
-            width -= 2
-        else:
+        if piece not in pieces:
             raise ArityMismatch(f"unknown piece {piece!r}")
-    return TangleValue(t.input_arity, width, n,
-                       tuple(tuple(row) for row in state))
+        span, produced, moves = pieces[piece]
+        if not 0 <= pos <= width - span:
+            raise ArityMismatch(f"{piece} at {pos}, width {width}")
+        if moves is None:
+            continue
+        new = {}
+        for (labels, col), v in state.items():
+            for out, c in moves[labels[pos:pos + span]]:
+                key = (labels[:pos] + out + labels[pos + span:], col)
+                old = new.get(key)
+                new[key] = c * v if old is None else old + c * v
+        state = {key: v for key, v in new.items() if v}
+        width += produced - span
+    rows = [[ZERO] * n ** t.input_arity for _ in range(n ** width)]
+    for (labels, col), v in state.items():
+        row = 0
+        for a in labels:
+            row = row * n + a
+        rows[row][col] = v
+    return TangleValue(t.input_arity, width, n, tuple(map(tuple, rows)))
 
 
 def framed_invariant(link: SlicedTangle, rep: RibbonRep) -> LaurentPoly:

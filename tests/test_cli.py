@@ -169,6 +169,10 @@ def test_cohomology_rep_coefficients(capsys):
     ["cohomology", "--algebra", '{"dim": 2, "brackets": [["x", 1, 1, "1"]]}'],
     ["jones", "--link",
      '{"braid": {"strands": 1, "word": []}, "framing_kinks": "abc"}'],
+    ["jones", "--link",
+     '{"braid": {"strands": 2.9, "word": [1.7, -1.2]}, "framing_kinks": 2.5}'],
+    ["cohomology", "--algebra", '{"dim": 100000}'],
+    ["expand", "--poly", "q^{1/0}", "--order", "2"],
 ])
 def test_malformed_json_is_a_domain_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

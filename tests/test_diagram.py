@@ -192,6 +192,23 @@ def test_link_json_roundtrip():
         link_from_json('{"braid": {"strands": 1, "word": []}, "framing_kinks": "abc"}')
 
 
+@pytest.mark.parametrize("text", [
+    '{"braid": {"strands": 2.9, "word": [1.7, -1.2]}, "framing_kinks": 2.5}',
+    '{"braid": {"strands": 2, "word": [1.0, -1]}}',
+    '{"braid": {"strands": 2, "word": [1]}, "framing_kinks": 2.5}',
+    '{"braid": {"strands": true, "word": []}}',
+    '{"braid": {"strands": 2, "word": [true]}}',
+    '{"braid": {"strands": 1, "word": []}, "framing_kinks": false}',
+    '{"braid": {"strands": "2", "word": []}}',
+    '{"braid": {"strands": 2, "word": "1,1"}}',
+    '{"braid": {"strands": 2}}',
+    '{"braid": [2, [1]]}',
+])
+def test_link_json_rejects_non_integers(text):
+    with pytest.raises(ParseError):
+        link_from_json(text)
+
+
 def test_resolve_link():
     assert resolve_link("trefoil_right") is CATALOG["trefoil_right"]
     assert resolve_link("trefoil") is CATALOG["trefoil_right"]

@@ -1,16 +1,25 @@
+import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from rtfactor import ce, weights
 from rtfactor._linalg import exact_rank
 from rtfactor.errors import (
     AntisymmetryViolation,
     DimensionMismatch,
+    DimensionTooLarge,
     JacobiViolation,
     ParseError,
     UnknownName,
 )
 from rtfactor.lie import (
+    MAX_PARSED_ALGEBRA_DIM,
     InvariantPairing,
     algebra_from_json,
     algebra_to_json,
@@ -201,3 +210,37 @@ def test_algebra_json_parse_errors(text):
 def test_algebra_json_index_out_of_range():
     with pytest.raises(DimensionMismatch):
         algebra_from_json('{"dim": 2, "brackets": [[0, 2, 1, "1"]]}')
+
+
+def test_algebra_json_size_limit_admits_every_command():
+    assert MAX_PARSED_ALGEBRA_DIM >= max(ce.MAX_ALGEBRA_DIM,
+                                         weights.MAX_WEIGHT_ALGEBRA_DIM)
+    assert MAX_PARSED_ALGEBRA_DIM >= builtin("sln_fundamental(4)")[0].dim
+    dim = MAX_PARSED_ALGEBRA_DIM
+    assert algebra_from_json(json.dumps({"dim": dim})).dim == dim
+    with pytest.raises(DimensionTooLarge, match=f"exceeds {dim}"):
+        algebra_from_json(json.dumps({"dim": dim + 1}))
+
+
+def test_huge_algebra_json_refused_before_allocating():
+    # Run under a 1 GiB address-space cap: allocating the 10^15-cell
+    # structure-constant array would fail with MemoryError, not exhaust
+    # the machine.
+    code = ("import json\n"
+            "from rtfactor.errors import DimensionTooLarge\n"
+            "from rtfactor.lie import algebra_from_json\n"
+            "try:\n"
+            "    algebra_from_json(json.dumps({'dim': 100000}))\n"
+            "except DimensionTooLarge as exc:\n"
+            "    print(exc)\n")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, preexec_fn=cap_memory,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (
+        f"algebra dimension 100000 exceeds {MAX_PARSED_ALGEBRA_DIM}")

@@ -61,12 +61,39 @@ def test_monomial_negative_power():
         (q(1) + q(2)) ** -1
 
 
+def test_unit_monomial_negative_powers_are_exact():
+    for sign in (1, -1):
+        for k in (-1, -2, -3):
+            p = q(3, 2, sign) ** k
+            assert p == q(3 * k, 2, sign ** -k)
+            assert all(type(c) is int for _, c in p.terms)
+    assert q(1, 3, Fraction(-1)) ** -1 == q(-1, 3, -1)
+
+
+def test_int_and_fraction_coefficient_forms_agree():
+    as_int = LaurentPoly(2, ((-1, 3), (1, -1)))
+    as_fraction = LaurentPoly(2, ((-1, Fraction(3)), (1, Fraction(-1))))
+    assert as_int == as_fraction
+    assert hash(as_int) == hash(as_fraction)
+    assert {as_int: "x"}[as_fraction] == "x"
+    assert LaurentPoly.from_terms(2, {-1: Fraction(6, 2), 1: -1}) == as_int
+    # integral coefficients are stored as int, the others as Fraction
+    mixed = q(1, 2, Fraction(4, 2)) + q(1, 1, Fraction(1, 3))
+    assert [type(c) for _, c in mixed.terms] == [int, Fraction]
+    assert (mixed * 3).terms == ((1, 6), (2, 1))
+
+
 def test_at_one_and_coeff():
     p = 2 * q(3, 2) - q(-1, 2)
     assert p.at_one() == 1
     assert p.coeff(3, 2) == 2
     assert p.coeff(-1, 2) == -1
     assert p.coeff(7) == 0
+    assert type(p.at_one()) is Fraction
+    assert type(p.coeff(3, 2)) is Fraction
+    assert type(p.coeff(7)) is Fraction
+    assert all(type(c) is Fraction for c in p.exponents().values())
+    assert type(LaurentPoly.zero().at_one()) is Fraction
 
 
 def test_scale_exponents_mirror():
@@ -83,6 +110,27 @@ def test_divide_exact():
     assert quo == q(1, 2) + q(-1, 2)
     with pytest.raises(ValueError):
         (q(1) + LaurentPoly.const(1)).divide_exact(q(1) - LaurentPoly.const(1))
+
+
+def test_divide_exact_long_quotient():
+    # the quotient has 100 terms, more than any fixed slack past len(a) + len(b)
+    one = LaurentPoly.one()
+    quo = (q(100) - one).divide_exact(q(1) - one)
+    assert quo == LaurentPoly.from_terms(1, {k: 1 for k in range(100)})
+    assert (q(-50) - q(50)).divide_exact(q(-1, 2) - q(1, 2)) * (q(-1, 2) - q(1, 2)) \
+        == q(-50) - q(50)
+    with pytest.raises(ValueError):
+        (q(100) + one).divide_exact(q(1) - one)
+    with pytest.raises(ValueError):
+        q(1).divide_exact(q(2) + one)
+
+
+def test_divide_exact_non_integral_quotient():
+    one = LaurentPoly.one()
+    quo = (q(2) - one).divide_exact(2 * q(1) - 2)
+    assert quo == q(1, 1, Fraction(1, 2)) + LaurentPoly.const(Fraction(1, 2))
+    assert quo * (2 * q(1) - 2) == q(2) - one
+    assert (q(1) * 3).divide_exact(LaurentPoly.const(6)) == q(1, 1, Fraction(1, 2))
 
 
 def test_laurent_ring_axioms_random():
@@ -142,6 +190,17 @@ def test_parse_laurent_rejects_garbage():
         parse_laurent("q + *")
     with pytest.raises(ParseError):
         parse_laurent("t^{2}", var="q")
+
+
+@pytest.mark.parametrize("text", ["q^{1/0}", "q^{-3/0}", "3/0*q", "1 + 1/0"])
+def test_parse_laurent_rejects_zero_denominator(text):
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_laurent(text)
+
+
+def test_parse_hseries_rejects_zero_denominator():
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_hseries("1/0*h + O(h^2)")
 
 
 # -- Series ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tangle evaluation, skein cross-checks, and h-expansion."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,8 @@ from rtfactor.diagram import (
 from rtfactor.errors import ArityMismatch, NonInvertibleNormalizer, NotClosed
 from rtfactor.kauffman import jones_polynomial, kauffman_bracket
 from rtfactor.quantum_group import (
+    lmat_identity,
+    lmat_kron,
     lmat_mul,
     lmat_scale,
     quantum_dimension,
@@ -44,6 +47,83 @@ from rtfactor.ring import HSeries, LaurentPoly, parse_laurent
 
 def _tangle(name):
     return CATALOG[name].tangle()
+
+
+# -- independent oracle: full Kronecker-product slice matrices ----------------
+
+def _slice_matrix(piece, pos, width, rep):
+    """I_(n^pos) (x) local (x) I_(n^rest): one slice on all n^width states."""
+    n = rep.n
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    local, consumed = {
+        ID: (lmat_identity(n), 1),
+        POS_CROSS: (rep.R, 2),
+        NEG_CROSS: (rep.R_inv, 2),
+        CUP: (tuple((rep.cup[a][b],) for a, b in pairs), 0),
+        CAP: ((tuple(rep.cap[a][b] for a, b in pairs),), 2),
+    }[piece]
+    left = lmat_identity(n ** pos)
+    right = lmat_identity(n ** (width - pos - consumed))
+    return lmat_kron(lmat_kron(left, local), right)
+
+
+def _kron_oracle(t, rep):
+    """The tangle's matrix as a product of dense slice matrices."""
+    width = t.input_arity
+    value = lmat_identity(rep.n ** width)
+    for piece, pos in t.slices:
+        value = lmat_mul(_slice_matrix(piece, pos, width, rep), value)
+        width += {CUP: 2, CAP: -2}.get(piece, 0)
+    return value
+
+
+def _random_tangle(rng, input_arity, max_width, closed):
+    width, slices = input_arity, []
+    for _ in range(rng.randint(3, 10)):
+        pieces = [CUP] if width + 2 <= max_width else []
+        if width:
+            pieces.append(ID)
+        if width >= 2:
+            pieces += [POS_CROSS, NEG_CROSS, CAP]
+        piece = rng.choice(pieces)
+        if piece == CUP:
+            slices.append((CUP, rng.randint(0, width)))
+            width += 2
+        elif piece == ID:
+            slices.append((ID, rng.randrange(width)))
+        else:
+            slices.append((piece, rng.randint(0, width - 2)))
+            width -= 2 if piece == CAP else 0
+    while closed and width:
+        slices.append((CAP, rng.randint(0, width - 2)))
+        width -= 2
+    return make_sliced_tangle(input_arity, slices)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_slice_at_every_position_matches_kron_oracle(n):
+    rep = sln_fundamental_ribbon(n)
+    for width in range(4):
+        for piece in (ID, POS_CROSS, NEG_CROSS, CUP, CAP):
+            last = {ID: width - 1, CUP: width}.get(piece, width - 2)
+            for pos in range(last + 1):
+                t = make_sliced_tangle(width, [(piece, pos)])
+                value = evaluate_sliced_tangle(t, rep)
+                assert value.matrix == _kron_oracle(t, rep), (piece, pos, width)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_random_tangles_match_kron_oracle(n):
+    rep = sln_fundamental_ribbon(n)
+    rng = random.Random(1990 + n)
+    for trial in range(30):
+        closed = trial % 3 == 0
+        t = _random_tangle(rng, 0 if closed else rng.randint(0, 2), 4, closed)
+        assert t.closed or not closed
+        value = evaluate_sliced_tangle(t, rep)
+        expected = _kron_oracle(t, rep)
+        assert value.output_arity == t.output_arity
+        assert value.matrix == expected, t.slices
 
 
 def test_identity_strand_gives_identity_matrix():
