@@ -376,7 +376,7 @@ def algebra_from_json(text: str) -> LieAlgebra:
     if not isinstance(data, dict) or "dim" not in data:
         raise ParseError("algebra JSON needs an object with a 'dim' field")
     d = data["dim"]
-    if not isinstance(d, int) or d < 1:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise DimensionMismatch("dim must be a positive integer")
     if d > MAX_PARSED_ALGEBRA_DIM:
         raise DimensionTooLarge(

