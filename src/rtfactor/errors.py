@@ -93,3 +93,7 @@ class TooLarge(RTFactorError):
 
 class CurvesIntersect(RTFactorError):
     """Gauss integral undefined: curves closer than tolerance."""
+
+
+class SingularPairing(RTFactorError):
+    """Graph weights need an invertible order-0 pairing."""

@@ -3,8 +3,11 @@
 A trivalent graph with cyclic vertex orders is evaluated by contracting
 one copy of the bracket-against-pairing tensor per vertex with the
 inverse of the pairing along every edge.  The pairing may be graded by
-powers of h; the inverse is then the truncated series inverse, and the
-weight comes back graded as well.  A variant with a second edge color
+powers of h; the inverse is then the truncated series inverse.  Every
+scalar of the contraction (tensor entries, inverse-pairing entries,
+partial sums) is one ring value: a Fraction for an ungraded pairing, an
+HSeries truncated at the pairing's top order for a graded one, and the
+weight comes back as the same type.  A variant with a second edge color
 and directed fermion lines computes the weights of the gauge-fermion
 coupled theory, where closed fermion cycles turn into traces.
 
@@ -20,13 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
-from ._linalg import mat_inv, mat_mul
+from ._linalg import linear_combination, mat_inv, mat_mul
 from .diagram import UnionFind
 from .errors import (
     DimensionTooLarge,
     OpenFermionPath,
     OpenGraph,
     ParseError,
+    SingularPairing,
     TooLarge,
 )
 from .lie import InvariantPairing, LieAlgebra, Representation
@@ -57,44 +61,54 @@ class JacobiGraph:
     connected: bool
 
 
-def make_jacobi_graph(vertices, legs=(), edges=()) -> JacobiGraph:
-    vertices = tuple(tuple(v) for v in vertices)
-    legs = tuple(legs)
-    edges = tuple(tuple(e) for e in edges)
-    seen = set()
+def _check_halves(vertices, legs, edges, fermion_halves=(),
+                  fermion_loops=0) -> None:
+    """Shared graph validation.  Every vertex has three half-edges, no
+    label repeats, and the edges pair the vertex half-edges and the legs
+    perfectly, except the fermion halves, which edges do not touch."""
+    if (not isinstance(fermion_loops, int) or isinstance(fermion_loops, bool)
+            or fermion_loops < 0):
+        raise ParseError(
+            f"fermion_loops must be a nonnegative integer, not {fermion_loops!r}")
     for v in vertices:
         if len(v) != 3:
-            raise ParseError(f"vertex {v!r} is not trivalent")
-        seen.update(v)
-    if len(seen) != 3 * len(vertices):
-        raise ParseError("half-edge label reused between vertices")
-    for leg in legs:
-        if leg in seen:
-            raise ParseError(f"leg {leg} also appears at a vertex")
-        seen.add(leg)
+            raise ParseError(f"vertex {v!r} does not have three half-edges")
+    labels = [h for v in vertices for h in v] + list(legs)
+    if len(set(labels)) != len(labels):
+        raise ParseError("half-edge label reused")
+    ends = set(labels) - set(fermion_halves)
     matched = set()
     for e in edges:
         if len(e) != 2 or e[0] == e[1]:
             raise ParseError(f"edge {e!r} is not a pair of distinct half-edges")
         for h in e:
-            if h not in seen:
-                raise ParseError(f"edge endpoint {h} is not a half-edge")
+            if h not in ends:
+                raise ParseError(f"edge endpoint {h} is not a half-edge or leg")
             if h in matched:
                 raise ParseError(f"half-edge {h} is matched twice")
             matched.add(h)
-    if matched != seen:
-        raise ParseError("edges must match every half-edge exactly once")
+    if matched != ends:
+        raise ParseError("edges must match every half-edge and leg exactly once")
+
+
+def make_jacobi_graph(vertices, legs=(), edges=()) -> JacobiGraph:
+    vertices = tuple(tuple(v) for v in vertices)
+    legs = tuple(legs)
+    edges = tuple(tuple(e) for e in edges)
+    _check_halves(vertices, legs, edges)
     return JacobiGraph(vertices, legs, edges, _is_connected(vertices, legs, edges))
+
+
+def _owners(vertices) -> dict:
+    """Half-edge -> index of the vertex it sits at."""
+    return {h: i for i, v in enumerate(vertices) for h in v}
 
 
 def _is_connected(vertices, legs, edges) -> bool:
     nodes = list(range(len(vertices))) + [("leg", l) for l in legs]
     if len(nodes) <= 1:
         return True
-    owner = {}
-    for i, v in enumerate(vertices):
-        for h in v:
-            owner[h] = i
+    owner = _owners(vertices)
     for l in legs:
         owner[l] = ("leg", l)
     components = UnionFind(nodes)
@@ -149,34 +163,10 @@ def make_bicolored_graph(gauge_vertices=(), coupling_vertices=(), legs=(),
     legs = tuple(legs)
     gauge_edges = tuple(tuple(e) for e in gauge_edges)
     fermion_edges = tuple(tuple(e) for e in fermion_edges)
-    if fermion_loops < 0:
-        raise ParseError("fermion_loops must be nonnegative")
-    gauge_halves = set()
-    outs, ins = set(), set()
-    for v in gauge_vertices:
-        if len(v) != 3:
-            raise ParseError(f"gauge vertex {v!r} is not trivalent")
-        gauge_halves.update(v)
-    for g, out, into in coupling_vertices:
-        gauge_halves.add(g)
-        outs.add(out)
-        ins.add(into)
-    labels = gauge_halves | outs | ins | set(legs)
-    if len(labels) != (3 * len(gauge_vertices) + 3 * len(coupling_vertices)
-                       + len(legs)):
-        raise ParseError("half-edge label reused")
-    matched = set()
-    for e in gauge_edges:
-        if len(e) != 2 or e[0] == e[1]:
-            raise ParseError(f"bad gauge edge {e!r}")
-        for h in e:
-            if h not in gauge_halves:
-                raise ParseError(f"gauge edge endpoint {h} is not gauge")
-            if h in matched:
-                raise ParseError(f"half-edge {h} matched twice")
-            matched.add(h)
-    if matched != gauge_halves | set(legs):
-        raise ParseError("gauge edges must match every gauge half-edge and leg")
+    _check_halves(gauge_vertices + coupling_vertices, legs, gauge_edges,
+                  [h for v in coupling_vertices for h in v[1:]], fermion_loops)
+    outs = {v[1] for v in coupling_vertices}
+    ins = {v[2] for v in coupling_vertices}
     f_sources, f_targets = set(), set()
     for src, dst in fermion_edges:
         if src not in outs or dst not in ins:
@@ -206,113 +196,106 @@ def fermion_wheel(spokes: int) -> BicoloredGraph:
 
 
 # ---------------------------------------------------------------------------
-# Truncated per-order scalars
+# Ring values: Fraction for an ungraded pairing, HSeries for a graded one
 # ---------------------------------------------------------------------------
 
-def _tmul(a, b):
-    m = len(a)
-    return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(m))
-
-
-def _tadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def _ring_value(coeffs, m: int):
+    """The per-order coefficients c_0 + c_1 h + ... as one scalar: a
+    Fraction when the pairing has a single order, else an HSeries
+    truncated past h^(m-1)."""
+    if m == 1:
+        return Fraction(coeffs[0])
+    return HSeries.make(m - 1, coeffs)
 
 
 def _graded_inverse(orders):
     """Inverse of G0 + h G1 + ... truncated at the given number of orders."""
-    base = mat_inv([list(row) for row in orders[0]])
-    dim = len(base)
+    try:
+        base = mat_inv([list(row) for row in orders[0]])
+    except ValueError:
+        raise SingularPairing("the order-0 pairing is singular, so the "
+                              "edges have no inverse pairing") from None
     inv = [base]
     for k in range(1, len(orders)):
-        acc = [[Fraction(0)] * dim for _ in range(dim)]
-        for j in range(1, k + 1):
-            step = mat_mul(orders[j], inv[k - j])
-            for r in range(dim):
-                for c in range(dim):
-                    acc[r][c] += step[r][c]
-        inv.append([[-x for x in row] for row in mat_mul(base, acc)])
+        # inv_k = -inv_0 (G_1 inv_(k-1) + ... + G_k inv_0)
+        terms = [mat_mul(orders[j], inv[k - j]) for j in range(1, k + 1)]
+        inv.append(mat_mul(base, linear_combination([-1] * k, terms)))
     return inv
 
 
 def _edge_scalars(pairing: InvariantPairing):
+    """Entries of the inverse pairing as ring values."""
     inv = _graded_inverse(pairing.orders)
-    m = len(pairing.orders)
+    m = len(inv)
     dim = len(inv[0])
-    return [[tuple(inv[k][r][c] for k in range(m)) for c in range(dim)]
-            for r in range(dim)], dim, m
+    return [[_ring_value([inv[k][r][c] for k in range(m)], m)
+             for c in range(dim)] for r in range(dim)]
 
 
-def _vertex_tensor(g: LieAlgebra, pairing: InvariantPairing, m: int,
+def _vertex_tensor(g: LieAlgebra, pairing: InvariantPairing,
                    classical_vertex: bool):
-    """Sparse map (a, b, c) -> per-order tuple of <[e_a, e_b], e_c>."""
+    """Sparse map (a, b, c) -> <[e_a, e_b], e_c> as a ring value."""
     dim = g.dim
-    effective = 1 if classical_vertex else m
+    m = len(pairing.orders)
+    grades = pairing.orders[:1] if classical_vertex else pairing.orders
     tensor = {}
     f = g.structure_constants
     for a in range(dim):
         for b in range(dim):
             row = f[a][b]
+            support = [x for x in range(dim) if row[x]]
+            if not support:
+                continue
             for c in range(dim):
-                vals = [Fraction(0)] * m
-                nonzero = False
-                for k in range(effective):
-                    grade = pairing.orders[k]
-                    s = sum(row[x] * grade[x][c] for x in range(dim) if row[x])
-                    if s:
-                        vals[k] = s
-                        nonzero = True
-                if nonzero:
-                    tensor[(a, b, c)] = tuple(vals)
+                vals = [sum(row[x] * grade[x][c] for x in support)
+                        for grade in grades]
+                if any(vals):
+                    tensor[(a, b, c)] = _ring_value(vals, m)
     return tensor
 
 
-def _contract(node_tensors, partner, prop, m):
+def _contract(node_tensors, partner, prop, unit):
     """Contract vertex tensors against edge scalars by a moving frontier.
 
     node_tensors: list of (half_edges, sparse tensor {indices: scalar}).
-    partner: half-edge matching.  Returns the closed-graph scalar tuple.
+    partner: half-edge matching; unit: the ring's one.  Returns the
+    closed-graph scalar.
     """
-    one = tuple([Fraction(1)] + [Fraction(0)] * (m - 1))
-    frontier = {(): one}
+    frontier = {(): unit}
     for halves, tensor in node_tensors:
         own = set(halves)
         new_frontier = {}
         for key, amp in frontier.items():
             pending = dict(key)
             for indices, tval in tensor.items():
-                weight = _tmul(amp, tval)
+                weight = amp * tval
                 local = dict(zip(halves, indices))
                 next_pending = dict(pending)
-                dead = False
                 for h, idx in zip(halves, indices):
                     p = partner[h]
                     if p in next_pending:
-                        weight = _tmul(weight, prop[next_pending.pop(p)][idx])
+                        weight = weight * prop[next_pending.pop(p)][idx]
                     elif p in own:
                         if p < h:  # both ends of a self-edge land here; once
-                            weight = _tmul(weight, prop[local[p]][idx])
+                            weight = weight * prop[local[p]][idx]
                     else:
                         next_pending[h] = idx
-                    if not any(weight):
-                        dead = True
+                    if not weight:
                         break
-                if dead:
-                    continue
-                new_key = tuple(sorted(next_pending.items()))
-                prior = new_frontier.get(new_key)
-                new_frontier[new_key] = (_tadd(prior, weight) if prior
-                                         else weight)
+                else:
+                    new_key = tuple(sorted(next_pending.items()))
+                    prior = new_frontier.get(new_key)
+                    new_frontier[new_key] = (weight if prior is None
+                                             else prior + weight)
         frontier = new_frontier
         if not frontier:
-            zero = tuple([Fraction(0)] * m)
-            return zero
-    return frontier.get((), tuple([Fraction(0)] * m))
+            break
+    return frontier.get((), 0 * unit)
 
 
-def _as_result(scalar, m):
-    if m == 1:
-        return scalar[0]
-    return HSeries.make(m - 1, scalar)
+def _partners(edges) -> dict:
+    """Half-edge -> the other end of its edge."""
+    return {h: p for e in edges for h, p in (e, e[::-1])}
 
 
 def _guard_size(g: LieAlgebra, edge_count: int) -> None:
@@ -339,26 +322,18 @@ def lie_weight(graph: JacobiGraph, g: LieAlgebra, pairing: InvariantPairing,
     if graph.legs:
         raise OpenGraph("weight of a graph with open legs is not a scalar")
     _guard_size(g, len(graph.edges))
-    prop, _, m = _edge_scalars(pairing)
-    tensor = _vertex_tensor(g, pairing, m, classical_vertex)
-    partner = {}
-    for a, b in graph.edges:
-        partner[a] = b
-        partner[b] = a
+    prop = _edge_scalars(pairing)
+    tensor = _vertex_tensor(g, pairing, classical_vertex)
     nodes = [(v, tensor) for v in graph.vertices]
-    return _as_result(_contract(nodes, partner, prop, m), m)
+    unit = _ring_value((1,), len(pairing.orders))
+    return _contract(nodes, _partners(graph.edges), prop, unit)
 
 
 def _fermion_cycles(graph: BicoloredGraph):
     """Split the coupling vertices into directed cycles; error on paths."""
-    by_out = {v[1]: v for v in graph.coupling_vertices}
     by_in = {v[2]: v for v in graph.coupling_vertices}
-    succ = {}
-    for src, dst in graph.fermion_edges:
-        succ[by_out[src][1]] = by_in[dst]
-    unmatched = (len(graph.coupling_vertices) * 2
-                 - 2 * len(graph.fermion_edges))
-    if unmatched:
+    succ = {src: by_in[dst] for src, dst in graph.fermion_edges}
+    if len(succ) != len(graph.coupling_vertices):
         raise OpenFermionPath(
             "fermion lines must close into cycles for a scalar weight")
     cycles = []
@@ -389,31 +364,25 @@ def coupled_weight(graph: BicoloredGraph, g: LieAlgebra, rho: Representation,
     if graph.legs:
         raise OpenGraph("weight of a graph with open legs is not a scalar")
     _guard_size(g, len(graph.gauge_edges) + len(graph.fermion_edges))
-    prop, dim, m = _edge_scalars(pairing)
-    tensor = _vertex_tensor(g, pairing, m, classical_vertex)
-    partner = {}
-    for a, b in graph.gauge_edges:
-        partner[a] = b
-        partner[b] = a
+    prop = _edge_scalars(pairing)
+    tensor = _vertex_tensor(g, pairing, classical_vertex)
+    m = len(pairing.orders)
     nodes = [(v, tensor) for v in graph.gauge_vertices]
-    pad = [Fraction(0)] * (m - 1)
     for cycle in _fermion_cycles(graph):
         halves = tuple(v[0] for v in cycle)
         cycle_tensor = {}
-        for assignment in product(range(dim), repeat=len(cycle)):
+        for assignment in product(range(g.dim), repeat=len(cycle)):
             prod = None
             for a in assignment:
                 mat = rho.matrices[a]
                 prod = mat if prod is None else mat_mul(mat, prod)
             trace = -sum(prod[i][i] for i in range(rho.dim))
             if trace:
-                cycle_tensor[assignment] = tuple([trace] + pad)
+                cycle_tensor[assignment] = _ring_value((trace,), m)
         nodes.append((halves, cycle_tensor))
-    scalar = _contract(nodes, partner, prop, m)
-    loop = Fraction(-rho.dim)
-    for _ in range(graph.fermion_loops):
-        scalar = tuple(loop * x for x in scalar)
-    return _as_result(scalar, m)
+    scalar = _contract(nodes, _partners(graph.gauge_edges), prop,
+                       _ring_value((1,), m))
+    return scalar * Fraction(-rho.dim) ** graph.fermion_loops
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +393,6 @@ def coupled_weight(graph: BicoloredGraph, g: LieAlgebra, rho: Representation,
 class RelationReport:
     ok: bool
     failures: tuple  # (relation, graph_index, detail) triples
-
-
-def _negated(value):
-    if isinstance(value, HSeries):
-        return HSeries.make(value.order, [-c for c in value.coeffs])
-    return -value
 
 
 def _rotate_to(triple, h, last: bool):
@@ -444,10 +407,7 @@ def _ihx_triple(graph: JacobiGraph, edge):
     """The two local rewrites of an internal edge, or None when the edge
     is a self-loop."""
     x, y = edge
-    owner = {}
-    for i, v in enumerate(graph.vertices):
-        for h in v:
-            owner[h] = i
+    owner = _owners(graph.vertices)
     if x not in owner or y not in owner or owner[x] == owner[y]:
         return None
     u, v = owner[x], owner[y]
@@ -477,7 +437,7 @@ def check_AS_IHX(g: LieAlgebra, pairing: InvariantPairing,
             vertices[vi] = vertices[vi][::-1]
             flipped = JacobiGraph(tuple(vertices), graph.legs, graph.edges,
                                   graph.connected)
-            if lie_weight(flipped, g, pairing) != _negated(base):
+            if lie_weight(flipped, g, pairing) != -base:
                 failures.append(("AS", idx, f"vertex {vi}"))
         for edge in graph.edges:
             rewrites = _ihx_triple(graph, edge)
@@ -486,9 +446,7 @@ def check_AS_IHX(g: LieAlgebra, pairing: InvariantPairing,
             second, third = rewrites
             total = (base - lie_weight(second, g, pairing)
                      + lie_weight(third, g, pairing))
-            zero = HSeries.zero(total.order) if isinstance(total, HSeries) \
-                else Fraction(0)
-            if total != zero:
+            if total:
                 failures.append(("IHX", idx, f"edge {edge}"))
     return RelationReport(not failures, tuple(failures))
 
@@ -524,10 +482,7 @@ def symmetry_factor(graph: JacobiGraph) -> int:
         raise TooLarge(
             f"{len(graph.vertices)} vertices exceed {MAX_AUT_VERTICES}")
     verts = graph.vertices
-    partner = {}
-    for a, b in graph.edges:
-        partner[a] = b
-        partner[b] = a
+    partner = _partners(graph.edges)
     legs = set(graph.legs)
     hmap = {l: l for l in legs}
     used = [False] * len(verts)
@@ -568,7 +523,6 @@ def symmetry_factor(graph: JacobiGraph) -> int:
                     used[j] = False
                 for h in placed:
                     del hmap[h]
-        return
 
     descend(0)
     return count

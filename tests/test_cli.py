@@ -267,6 +267,32 @@ def test_weights_bicolored_needs_rep(capsys):
     assert Fraction(payload["weight"]) == Fraction(-3, 4)
 
 
+_LEG_GRAPH = ('{"coupling_vertices": [[0, 1, 2]], "legs": [3], '
+              '"gauge_edges": [[0, 3]], "fermion_edges": [[1, 2]]}')
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--algebra", "sl2", "--pairing-scale", "0"], "singular"),
+    (["--algebra", "abelian(2)"], "singular"),
+    (["--algebra", "abelian(100000)"], "exceeds 15"),
+    (["--algebra", "sl2", "--graph", _LEG_GRAPH], "open legs"),
+    (["--algebra", "sl2", "--graph",
+      '{"coupling_vertices": [], "fermion_loops": 2.5}'], "fermion_loops"),
+    (["--algebra", "sl2", "--graph",
+      '{"coupling_vertices": [], "fermion_loops": true}'], "fermion_loops"),
+    (["--algebra", "sl2", "--graph",
+      '{"coupling_vertices": [], "fermion_loops": -1}'], "fermion_loops"),
+])
+def test_weights_domain_errors_exit_1(capsys, argv, message):
+    if "--graph" not in argv:
+        argv = argv + ["--graph", THETA_JSON]
+    code, out, err = run_cli(capsys, "weights", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # linking
 # ---------------------------------------------------------------------------

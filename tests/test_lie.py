@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from rtfactor.errors import (
     UnknownName,
 )
 from rtfactor.lie import (
+    MAX_IRREP_DIM,
     MAX_PARSED_ALGEBRA_DIM,
     InvariantPairing,
     algebra_from_json,
@@ -228,15 +230,16 @@ def test_algebra_json_size_limit_admits_every_command():
         algebra_from_json(json.dumps({"dim": dim + 1}))
 
 
-def test_huge_algebra_json_refused_before_allocating():
-    # Run under a 1 GiB address-space cap: allocating the 10^15-cell
-    # structure-constant array would fail with MemoryError, not exhaust
-    # the machine.
+def _refusal_under_memory_cap(call: str) -> str:
+    """Run ``call`` in a child process under a 1 GiB address-space cap and
+    return the DimensionTooLarge message it raises.  Allocating a
+    10^15-cell structure-constant array there fails with MemoryError
+    instead of exhausting the machine."""
     code = ("import json\n"
             "from rtfactor.errors import DimensionTooLarge\n"
-            "from rtfactor.lie import algebra_from_json\n"
+            "from rtfactor.lie import algebra_from_json, builtin\n"
             "try:\n"
-            "    algebra_from_json(json.dumps({'dim': 100000}))\n"
+            f"    {call}\n"
             "except DimensionTooLarge as exc:\n"
             "    print(exc)\n")
 
@@ -248,5 +251,39 @@ def test_huge_algebra_json_refused_before_allocating():
                           text=True, timeout=60, preexec_fn=cap_memory,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == (
+    return done.stdout.strip()
+
+
+def test_huge_algebra_json_refused_before_allocating():
+    assert _refusal_under_memory_cap(
+        "algebra_from_json(json.dumps({'dim': 100000}))") == (
         f"algebra dimension 100000 exceeds {MAX_PARSED_ALGEBRA_DIM}")
+
+
+def test_huge_builtin_refused_before_allocating():
+    assert _refusal_under_memory_cap("builtin('abelian(100000)')") == (
+        f"algebra dimension 100000 exceeds {MAX_PARSED_ALGEBRA_DIM}")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("abelian(16)", f"algebra dimension 16 exceeds {MAX_PARSED_ALGEBRA_DIM}"),
+    ("sln_fundamental(5)",
+     f"algebra dimension 24 exceeds {MAX_PARSED_ALGEBRA_DIM}"),
+    ("sl2_irrep(1024)", f"carrier dimension 1025 exceeds {MAX_IRREP_DIM}"),
+])
+def test_builtin_size_guard_refuses_before_building(name, message):
+    # Without the guard these take seconds to build (sln_fundamental(5)
+    # about 12 s) before a command refuses them.
+    with pytest.raises(DimensionTooLarge, match=re.escape(message)):
+        builtin(name)
+
+
+def test_builtin_size_guard_admits_the_limits():
+    assert builtin(f"abelian({MAX_PARSED_ALGEBRA_DIM})")[0].dim == (
+        MAX_PARSED_ALGEBRA_DIM)
+    assert builtin("sln_fundamental(4)")[0].dim <= MAX_PARSED_ALGEBRA_DIM
+
+
+def test_builtin_parameter_with_too_many_digits_is_unknown():
+    with pytest.raises(UnknownName):
+        builtin("abelian(" + "9" * 5000 + ")")

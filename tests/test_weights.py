@@ -1,5 +1,6 @@
 """Graph weights, AS/IHX relations, symmetry factors."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from rtfactor.errors import (
     OpenFermionPath,
     OpenGraph,
     ParseError,
+    SingularPairing,
     TooLarge,
 )
 from rtfactor.lie import (
@@ -311,3 +313,70 @@ def test_make_graph_validations():
 def test_connectivity_recorded():
     assert theta_graph().connected
     assert not disjoint_union(theta_graph(), theta_graph()).connected
+
+
+def test_bicolored_graph_with_a_leg_parses_and_is_open():
+    # One coupling vertex on a fermion cycle; its gauge half-edge ends
+    # on a leg.
+    graph = make_bicolored_graph((), ((0, 1, 2),), (3,), ((0, 3),), ((1, 2),))
+    assert graph.legs == (3,)
+    g, rho = builtin("sl2")
+    with pytest.raises(OpenGraph):
+        coupled_weight(graph, g, rho, _killing_pairing(g))
+
+
+@pytest.mark.parametrize("loops", [2.5, True, -1, "1", None])
+def test_fermion_loops_must_be_a_nonnegative_int(loops):
+    with pytest.raises(ParseError):
+        make_bicolored_graph(fermion_loops=loops)
+    with pytest.raises(ParseError):
+        graph_from_json('{"coupling_vertices": [], "fermion_loops": %s}'
+                        % json.dumps(loops))
+
+
+def test_singular_pairing_is_a_domain_error():
+    g, rho = builtin("sl2")
+    zero = InvariantPairing((tuple((Fraction(0),) * 3 for _ in range(3)),))
+    with pytest.raises(SingularPairing, match="singular"):
+        lie_weight(theta_graph(), g, zero)
+    with pytest.raises(SingularPairing):
+        coupled_weight(fermion_wheel(2), g, rho, zero)
+
+
+def _graded_killing(g, a, order):
+    """G = (1 + a h) K, padded with zero matrices up to h^order."""
+    kill = tuple(tuple(row) for row in killing_form(g))
+    zero = tuple(tuple(Fraction(0) for _ in row) for row in kill)
+    scaled = tuple(tuple(a * x for x in row) for row in kill)
+    return InvariantPairing((kill, scaled) + (zero,) * (order - 1))
+
+
+@pytest.mark.parametrize("name, seed", [("sl2", 11), ("so3", 12), ("sl2", 13)])
+def test_graded_weight_scales_by_vertex_count(name, seed):
+    # Every vertex tensor gains a factor (1 + a h) and every edge the
+    # inverse; a closed trivalent graph has 3V/2 edges, so its weight is
+    # the plain one times (1 + a h)^(-V/2).
+    g, _ = builtin(name)
+    a, order = Fraction(3, 2), 3
+    graded = _graded_killing(g, a, order)
+    inverse = series_inverse(HSeries.make(order, [1, a]))
+    for graph in generate_trivalent_family(6, random.Random(seed)):
+        weight = lie_weight(graph, g, graded)
+        plain = lie_weight(graph, g, _killing_pairing(g))
+        assert isinstance(weight, HSeries)
+        assert all(type(c) is Fraction for c in weight.coeffs)
+        assert weight == inverse ** (len(graph.vertices) // 2) * plain
+
+
+@pytest.mark.parametrize("spokes", [2, 4])
+def test_graded_wheel_scales_by_gauge_edges(spokes):
+    g, rho = builtin("sl2")
+    a, order = Fraction(-2, 3), 3
+    wheel = fermion_wheel(spokes)
+    weight = coupled_weight(wheel, g, rho, _graded_killing(g, a, order))
+    unit = coupled_weight(wheel, g, rho, _killing_pairing(g))
+    inverse = series_inverse(HSeries.make(order, [1, a]))
+    assert weight == inverse ** len(wheel.gauge_edges) * unit
+    loops = make_bicolored_graph(fermion_loops=2)
+    assert (coupled_weight(loops, g, rho, _graded_killing(g, a, order))
+            == HSeries.const(rho.dim ** 2, order))
