@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import confint
-from ._linalg import exact_rank, mat_inv
+from ._linalg import exact_rank, mat_inv, mat_mul
 from .ce import (
     ce_complex,
     cohomology_dims,
@@ -50,6 +50,7 @@ from .quantum_group import (
     check_yang_baxter,
     lmat_identity,
     lmat_mul,
+    quantum_dimension,
     ribbon_twist,
     sln_fundamental_ribbon,
 )
@@ -142,15 +143,16 @@ def check_jones_oracle(rng) -> tuple[bool, str]:
 
 def check_expansion_structure(rng) -> tuple[bool, str]:
     rep = sln_fundamental_ribbon(2)
+    unknot = quantum_dimension(rep)
     knots = [name for name, spec in CATALOG.items()
              if permutation_cycles(braid_permutation(spec.effective_braid())) == 1]
     for name in knots:
         value = writhe_corrected_invariant(CATALOG[name].tangle(), rep)
-        series = hbar_expand_invariant(value, 4, normalize=True)
+        series = hbar_expand_invariant(value, 4, normalize=True, unknot_value=unknot)
         if series.coeffs[0] != 1 or series.coeffs[1] != 0:
             return False, f"{name}: expansion starts {series.coeffs[:2]}"
     trefoil = writhe_corrected_invariant(CATALOG["trefoil_right"].tangle(), rep)
-    c2 = hbar_expand_invariant(trefoil, 2, normalize=True).coeffs[2]
+    c2 = hbar_expand_invariant(trefoil, 2, normalize=True, unknot_value=unknot).coeffs[2]
     if c2 == 0:
         return False, "trefoil degree-2 coefficient vanishes"
     return True, (f"{len(knots)} knots start (1, 0); "
@@ -221,13 +223,8 @@ def check_clifford_morita(rng) -> tuple[bool, str]:
         d = rng.choice([1, 2, 3])
         a = _random_clifford(rng, d)
         b = _random_clifford(rng, d)
-        pa = spinor_matrix(a).matrix
-        pb = spinor_matrix(b).matrix
-        size = 1 << d
-        direct = tuple(
-            tuple(sum((pa[i][k] * pb[k][j] for k in range(size)), Fraction(0))
-                  for j in range(size)) for i in range(size))
-        if spinor_matrix(clifford_multiply(a, b)).matrix != direct:
+        direct = mat_mul(spinor_matrix(a).matrix, spinor_matrix(b).matrix)
+        if spinor_matrix(clifford_multiply(a, b)).matrix != tuple(map(tuple, direct)):
             return False, f"homomorphism fails at trial {trial} (d={d})"
     for d in (1, 2, 3):
         rows = []

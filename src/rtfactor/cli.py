@@ -35,7 +35,7 @@ from .lie import (InvariantPairing, LieAlgebra, Representation,
 from .quantum_group import quantum_dimension, sln_fundamental_ribbon
 from .ring import format_hseries, format_laurent, parse_laurent
 from .rt import (framed_invariant, hbar_expand_invariant, jones_from_quantum,
-                 normalized_invariant, writhe_corrected_invariant)
+                 writhe_corrected_invariant)
 from .weights import (BicoloredGraph, coupled_weight, graph_from_json,
                       lie_weight, symmetry_factor)
 
@@ -166,23 +166,22 @@ def _cmd_invariant(args) -> int:
     if args.jones and n != 2:
         args.parser.error("--jones is the two-dimensional route; use --algebra sl2")
     rep = sln_fundamental_ribbon(n)
+    normalize = args.normalize and not args.jones
     if args.jones:
         poly, var, unknot = jones_from_quantum(tangle), "t", None
     else:
-        poly, var, unknot = framed_invariant(tangle, rep), "q", quantum_dimension(rep)
+        # Normalizing removes kink contributions before dividing by the
+        # unknot value, so a knot's series starts 1 + 0*h + ...
+        invariant = writhe_corrected_invariant if normalize else framed_invariant
+        poly, var, unknot = invariant(tangle, rep), "q", quantum_dimension(rep)
     if args.expand is not None:
-        if args.normalize and not args.jones:
-            # Kink contributions are removed before dividing by the unknot
-            # value, so a knot's series starts 1 + 0*h + ...
-            poly = writhe_corrected_invariant(tangle, rep)
-        series = hbar_expand_invariant(poly, args.expand,
-                                       normalize=args.normalize and not args.jones,
+        series = hbar_expand_invariant(poly, args.expand, normalize=normalize,
                                        unknot_value=unknot)
         _emit(args, [format_hseries(series)],
               {"series": format_hseries(series), "variable": "h"})
         return 0
-    if args.normalize and not args.jones:
-        poly = normalized_invariant(tangle, rep)
+    if normalize:
+        poly = poly.divide_exact(unknot)
     _emit(args, [format_laurent(poly, var)],
           {"invariant": format_laurent(poly, var), "variable": var})
     return 0
@@ -205,8 +204,9 @@ def _cmd_jones(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    poly = parse_laurent(args.poly)
-    series = hbar_expand_invariant(poly, args.order, normalize=args.normalize)
+    series = hbar_expand_invariant(
+        parse_laurent(args.poly), args.order, normalize=args.normalize,
+        unknot_value=quantum_dimension(sln_fundamental_ribbon(2)))
     _emit(args, [format_hseries(series)],
           {"series": format_hseries(series), "variable": "h"})
     return 0

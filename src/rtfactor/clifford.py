@@ -72,10 +72,6 @@ def cl_element(d: int, terms: dict) -> CliffordElement:
     return CliffordElement(d, tuple(sorted(clean.items())))
 
 
-def cl_zero(d: int) -> CliffordElement:
-    return CliffordElement(d, ())
-
-
 def cl_one(d: int) -> CliffordElement:
     return cl_element(d, {(0, 0): 1})
 

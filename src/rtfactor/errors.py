@@ -70,11 +70,6 @@ class ArityMismatch(RTFactorError):
     """Slice sequence does not chain width-consistently."""
 
 
-class TooManyCrossings(RTFactorError):
-    """State sum over more than kauffman.MAX_STATE_SUM_CROSSINGS crossings
-    (2^c states)."""
-
-
 class NonInvertibleNormalizer(RTFactorError):
     """Normalization requested against a series with zero constant term."""
 

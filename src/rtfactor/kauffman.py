@@ -1,9 +1,9 @@
-"""Skein-theoretic link invariants computed by state sums.
+"""Skein-theoretic link invariants, swept one crossing at a time.
 
 This module is the classical oracle the quantum-group route is checked
-against.  It evaluates the Kauffman bracket of a planar diagram by summing
-over all crossing smoothings, and packages the writhe correction that turns
-the bracket into the Jones polynomial.
+against.  It evaluates the Kauffman bracket of a PD code crossing by
+crossing, at a cost set by the number of open path ends rather than 2^c,
+and packages the writhe correction that turns it into the Jones polynomial.
 
 Everything here is exact: brackets live in ``LaurentPoly`` with the variable
 read as A, Jones values with the variable read as t.  The two are tied by
@@ -13,12 +13,14 @@ t = A^{-4}, and loops count with delta = -A^2 - A^{-2}.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
-from .diagram import PDCode, UnionFind
-from .errors import TooManyCrossings
+from .diagram import PDCode
+from .errors import DimensionTooLarge
 from .ring import LaurentPoly
 
-MAX_STATE_SUM_CROSSINGS = 24
+# About a microsecond per unit; the largest admitted braids take 1-4 s.
+MAX_SWEEP_COST = 2_000_000
 
 
 def loop_value() -> LaurentPoly:
@@ -41,43 +43,58 @@ def _smoothing_pairs(crossing, choose_a: bool):
     return turnback if choose_a else parallel
 
 
+def sweep_cost(pd: PDCode) -> tuple[int, int]:
+    """Estimated sweep work, and the peak number f of open ends (arcs seen
+    once).  After k crossings there are at most 2^k and about Catalan(f/2)
+    states of about k terms each; the estimate sums k * min(2^k, Catalan)."""
+    open_ends: set[int] = set()
+    cost = peak = 0
+    for k, (_, arcs) in enumerate(pd.crossings, 1):
+        open_ends.symmetric_difference_update(arcs)
+        pairs = len(open_ends) // 2
+        peak = max(peak, len(open_ends))
+        cost += k * min(2 ** k, comb(2 * pairs, pairs) // (pairs + 1))
+    return cost, peak
+
+
 def kauffman_bracket(pd: PDCode, normalized: bool = True) -> LaurentPoly:
     """Kauffman bracket of a planar diagram, exact in A.
 
-    Sums A^(#A-smoothings - #B-smoothings) * delta^(loops - 1) over all
-    2^crossings states.  With ``normalized`` the single unknot evaluates
-    to 1; without it every loop contributes a factor delta, which is the
-    normalization the quantum-group closure reproduces directly.
-
-    Raises TooManyCrossings when the diagram has more than
-    ``MAX_STATE_SUM_CROSSINGS`` crossings, since the state sum doubles per
-    crossing.
-    """
-    crossings = pd.crossings
-    if len(crossings) > MAX_STATE_SUM_CROSSINGS:
-        raise TooManyCrossings(
-            f"state sum over {len(crossings)} crossings exceeds the "
-            f"supported bound {MAX_STATE_SUM_CROSSINGS}"
-        )
+    Sweeps the crossings in stored order, keeping a polynomial per
+    connectivity of the open paths (sorted (end, other end) pairs).  Each
+    crossing adds its A-smoothing times A and its B-smoothing times A^-1;
+    every loop closed, or arc in no crossing, counts delta.  ``normalized``
+    divides a nonempty diagram by one delta, so the unknot is 1; the
+    quantum-group closure matches the unnormalized value.  Raises
+    DimensionTooLarge when ``sweep_cost`` exceeds ``MAX_SWEEP_COST``."""
+    cost, peak = sweep_cost(pd)
+    if cost > MAX_SWEEP_COST:
+        raise DimensionTooLarge(
+            f"bracket sweep estimate {cost} (peak {peak} open ends, "
+            f"{len(pd.crossings)} crossings) exceeds the limit {MAX_SWEEP_COST}")
     delta = loop_value()
-    total = LaurentPoly.zero()
-    num = len(crossings)
-    for state in range(1 << num):
-        merges = UnionFind(pd.arcs)  # arcs joined into loops
-        a_count = 0
-        for i, crossing in enumerate(crossings):
-            choose_a = not (state >> i) & 1
-            if choose_a:
-                a_count += 1
-            for x, y in _smoothing_pairs(crossing, choose_a):
-                merges.union(x, y)
-        loops = merges.class_count()
-        weight = LaurentPoly.q_power(2 * a_count - num)
-        power = loops if not normalized else loops - 1
-        for _ in range(power):
-            weight = weight * delta
-        total = total + weight
-    return total
+    factors = {choose_a: [LaurentPoly.q_power(power) * delta ** n for n in range(3)]
+               for choose_a, power in ((True, 1), (False, -1))}
+    states = {(): LaurentPoly.one()}
+    for crossing in pd.crossings:
+        swept: dict[tuple, LaurentPoly] = {}
+        for choose_a, weights in factors.items():
+            segments = _smoothing_pairs(crossing, choose_a)
+            for key, value in states.items():
+                ends, loops = dict(key), 0  # open path end -> its other end
+                for x, y in segments:
+                    far_x, far_y = ends.pop(x, x), ends.pop(y, y)
+                    if far_x == y:  # the segment closes a loop
+                        loops += 1
+                    else:
+                        ends[far_x], ends[far_y] = far_y, far_x
+                joined = tuple(sorted(ends.items()))
+                term = value * weights[loops]
+                swept[joined] = swept[joined] + term if joined in swept else term
+        states = {key: value for key, value in swept.items() if value}
+    touched = {arc for _, arcs in pd.crossings for arc in arcs}
+    total = states.get((), LaurentPoly.zero()) * delta ** len(pd.arcs - touched)
+    return total.divide_exact(delta) if normalized and pd.arcs else total
 
 
 def jones_polynomial(pd: PDCode, writhe: int) -> LaurentPoly:
@@ -88,7 +105,6 @@ def jones_polynomial(pd: PDCode, writhe: int) -> LaurentPoly:
     bracket), so the caller supplies it.  Knots land in integer powers of
     t; links with an even number of components pick up half-integer powers.
     """
-    corrected = kauffman_bracket(pd, normalized=True) * (
-        LaurentPoly.q_power(3, 1, -1) ** (-writhe)
-    )
+    kink = LaurentPoly.q_power(3, 1, -1)
+    corrected = kauffman_bracket(pd, normalized=True) * kink ** (-writhe)
     return corrected.scale_exponents(Fraction(-1, 4))

@@ -22,9 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .errors import ConstantTermViolation, ParseError
+from .errors import ConstantTermViolation, DimensionTooLarge, ParseError
 
 Rational = Fraction
+
+# Largest HSeries order; at 100 `character` with a 3-dimensional rep takes ~1 s.
+MAX_SERIES_ORDER = 100
 
 
 def rat(x) -> Fraction:
@@ -268,6 +271,9 @@ class HSeries:
     def make(order: int, coeffs=()) -> "HSeries":
         if order < 0:
             raise ValueError("order must be nonnegative")
+        if order > MAX_SERIES_ORDER:
+            raise DimensionTooLarge(
+                f"series order {order} exceeds the limit {MAX_SERIES_ORDER}")
         cs = [rat(c) for c in coeffs][: order + 1]
         cs += [Fraction(0)] * (order + 1 - len(cs))
         return HSeries(order, tuple(cs))
@@ -411,8 +417,6 @@ def exp_rational_series(r: Fraction, order: int) -> HSeries:
 
 def laurent_to_hseries(p: LaurentPoly, order: int) -> HSeries:
     """Substitute q = e^h, i.e. u^k -> exp(k*h/N) truncated at `order`."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     result = HSeries.zero(order)
     for e, c in p.terms:
         result = result + exp_rational_series(Fraction(e, p.root_order), order) * c
@@ -427,11 +431,6 @@ def _fmt_rational(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _fmt_exponent(num: int, den: int) -> str:
-    f = Fraction(num, den)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def format_laurent(p: LaurentPoly, var: str = "q") -> str:
     """Canonical rendering, ascending exponents: e.g. '-q^{-1/2} + 2*q^{3/2}'."""
     if p.is_zero:
@@ -442,10 +441,7 @@ def format_laurent(p: LaurentPoly, var: str = "q") -> str:
         if exp == 0:
             body = _fmt_rational(abs(c))
         else:
-            if exp == 1:
-                head = var
-            else:
-                head = f"{var}^{{{_fmt_exponent(e, p.root_order)}}}"
+            head = var if exp == 1 else f"{var}^{{{_fmt_rational(exp)}}}"
             body = head if abs(c) == 1 else f"{_fmt_rational(abs(c))}*{head}"
         if not parts:
             parts.append(body if c > 0 else "-" + body)
@@ -556,7 +552,7 @@ def parse_hseries(text: str, var: str = "h") -> HSeries:
     if order < 0:
         raise ParseError("O-term exponent must be >= 1")
     body = text[: m.start()].strip()
-    coeffs = [Fraction(0)] * (order + 1)
+    coeffs = list(HSeries.zero(order).coeffs)
     if body and body != "0":
         for sign, chunk in _split_signed_terms(body):
             tm = _TERM_RE.match(chunk)

@@ -190,7 +190,7 @@ def compare_with_bracket(link: SlicedTangle,
 
     Evaluates the closed diagram in the fundamental two-dimensional
     representation (or a supplied one) and compares against the skein
-    state sum with one loop factor per component, over the finite set of
+    bracket with one loop factor per component, over the finite set of
     variable substitutions and writhe-and-component sign laws.  Every
     matching rule is reported; the verdict is whether any rule works.
     """
@@ -228,16 +228,16 @@ def hbar_expand_invariant(p: LaurentPoly, order: int, normalize: bool = False,
     """Expand an invariant around q = exp(h), truncated past h^(order).
 
     With ``normalize`` the expansion is divided, as a series, by the
-    expansion of the unknot value (the quantum dimension of the
-    fundamental two-dimensional representation unless another value is
-    supplied).  Raises NonInvertibleNormalizer when that normalizer has
-    no constant term to invert.
+    expansion of ``unknot_value``, which is then required: the unknot
+    value depends on the representation (the quantum dimension for the
+    fundamental representation of sl_n).  Raises NonInvertibleNormalizer
+    when that normalizer has no constant term to invert.
     """
     series = laurent_to_hseries(p, order)
     if not normalize:
         return series
     if unknot_value is None:
-        unknot_value = quantum_dimension(sln_fundamental_ribbon(2))
+        raise TypeError("normalize=True needs the unknot_value to divide by")
     normalizer = laurent_to_hseries(unknot_value, order)
     if normalizer.constant == 0:
         raise NonInvertibleNormalizer(

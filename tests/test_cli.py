@@ -7,12 +7,13 @@ import pytest
 
 from rtfactor.cli import main
 from rtfactor.confint import curve_to_json, twisted_circle, unit_circle
-from rtfactor.diagram import CATALOG, pd_from_sliced, writhe
+from rtfactor.diagram import CATALOG, pd_from_sliced, resolve_link, writhe
 from rtfactor.kauffman import jones_polynomial, kauffman_bracket
 from rtfactor.lie import algebra_to_json, builtin
 from rtfactor.quantum_group import sln_fundamental_ribbon
-from rtfactor.ring import parse_hseries, parse_laurent
-from rtfactor.rt import framed_invariant
+from rtfactor.ring import (MAX_SERIES_ORDER, LaurentPoly, parse_hseries,
+                           parse_laurent)
+from rtfactor.rt import framed_invariant, jones_from_quantum
 from rtfactor.weights import graph_to_json, theta_graph
 
 
@@ -108,6 +109,30 @@ def test_unknown_link_is_a_domain_error(capsys):
     assert err.startswith("error:")
 
 
+def test_bracket_and_jones_of_a_40_letter_braid(capsys):
+    braid = "B2:" + ",".join(["1", "1", "-1", "1"] * 10)
+    tangle = resolve_link(braid).tangle()
+    quantum = jones_from_quantum(tangle)
+    code, out, _ = run_cli(capsys, "bracket", "--link", braid)
+    assert code == 0
+    bracket = parse_laurent(out.strip(), "A")
+    kink = LaurentPoly.q_power(3, 1, -1)
+    assert (bracket * kink ** (-writhe(tangle))).scale_exponents(
+        Fraction(-1, 4)) == quantum
+    code, out, _ = run_cli(capsys, "jones", "--link", braid)
+    assert code == 0
+    assert parse_laurent(out.strip(), "t") == quantum
+
+
+@pytest.mark.parametrize("subcommand", ["bracket", "jones"])
+def test_braid_over_the_width_limit_is_a_domain_error(capsys, subcommand):
+    wide = "B16:" + ",".join([str(i) for i in range(1, 16)] * 2)
+    code, _, err = run_cli(capsys, subcommand, "--link", wide)
+    assert code == 1
+    assert err.startswith("error:") and "exceeds the limit" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # expand
 # ---------------------------------------------------------------------------
@@ -127,6 +152,32 @@ def test_expand_rejects_negative_order():
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--poly", "q^{1}", "--order", "-1"])
     assert exc.value.code == 2
+
+
+_CHARACTER = ["character", "--algebra", "sl2", "--rep", "sl2",
+              "--element", "1,0,0", "--order"]
+_ORDERED = [["expand", "--poly", "q + q^{-1}", "--normalize", "--order"],
+            ["invariant", "--link", "trefoil", "--algebra", "sl3", "--framed",
+             "--normalize", "--expand"],
+            _CHARACTER]
+
+
+@pytest.mark.parametrize("argv", _ORDERED)
+@pytest.mark.parametrize("order", [MAX_SERIES_ORDER + 1, 10 ** 30])
+def test_order_above_the_limit_is_a_domain_error(capsys, argv, order):
+    code, _, err = run_cli(capsys, *argv, str(order))
+    assert code == 1
+    assert err.startswith("error:")
+    assert str(MAX_SERIES_ORDER) in err and str(order) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", _ORDERED)
+def test_order_at_the_limit_finishes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, str(MAX_SERIES_ORDER))
+    assert code == 0
+    if argv is not _CHARACTER:
+        assert parse_hseries(out.strip()).order == MAX_SERIES_ORDER
 
 
 # ---------------------------------------------------------------------------

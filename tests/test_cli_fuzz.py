@@ -2,9 +2,11 @@
 
 Each example calls ``rtfactor.cli.main`` in-process.  Success and domain
 errors return 0 or 1; usage errors leave through argparse's SystemExit(2).
-Any other exception fails the test and names the command line.  Inputs stay
-small: braids of at most 4 strands and 8 letters, orders up to 8, at most
-128 curve samples, small algebras, and ``verify`` only with malformed seeds.
+Any other exception fails the test and names the command line, and so does
+exit 0 with an order above ``MAX_SERIES_ORDER``.  Inputs stay small: braids
+of at most 4 strands and 8 letters (30 for ``bracket`` and ``jones``),
+orders up to 8 or above the limit, at most 128 curve samples, small
+algebras, and ``verify`` only with malformed seeds.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from rtfactor.cli import main
 from rtfactor.diagram import CATALOG, LINK_ALIASES
 from rtfactor.lie import algebra_to_json, builtin
+from rtfactor.ring import MAX_SERIES_ORDER
 from rtfactor.weights import (fermion_wheel, generate_trivalent_family,
                               graph_to_json)
 
@@ -45,13 +48,13 @@ def _numbers(low, high):
 # -- links --------------------------------------------------------------------
 
 @st.composite
-def _braid(draw):
+def _braid(draw, max_letters):
     """A braid string whose letters are mostly in range."""
     strands = draw(_mostly(st.integers(1, 4), st.integers(-1, 0)))
     top = max(strands - 1, 1)
     letter = _mostly(st.integers(1, top) | st.integers(-top, -1),
                      st.integers(-5, 5))
-    letters = draw(st.lists(letter, max_size=8))
+    letters = draw(st.lists(letter, max_size=max_letters))
     return f"B{strands}:" + ",".join(str(x) for x in letters)
 
 
@@ -68,9 +71,14 @@ def _link_json(draw):
     return json.dumps(payload)
 
 
-_NAMED_LINKS = st.sampled_from(sorted(CATALOG) + sorted(LINK_ALIASES))
-LINKS = _mostly(st.one_of(_NAMED_LINKS, _braid()),
-                st.one_of(_link_json(), _GARBAGE))
+def _links(max_letters):
+    named = st.sampled_from(sorted(CATALOG) + sorted(LINK_ALIASES))
+    return _mostly(st.one_of(named, _braid(max_letters)),
+                   st.one_of(_link_json(), _GARBAGE))
+
+
+LINKS = _links(8)
+LONG_LINKS = _links(30)
 
 # -- algebras and graphs ------------------------------------------------------
 
@@ -162,6 +170,12 @@ def _argv(*parts):
     return st.tuples(*parts).map(lambda chunks: [x for c in chunks for x in c])
 
 
+# Mostly small orders; one in four above the limit, or not a number.
+_OVER_LIMIT = [MAX_SERIES_ORDER + 1, 10 ** 6, 10 ** 30]
+ORDERS = _mostly(st.integers(0, 8).map(str),
+                 st.sampled_from([str(n) for n in _OVER_LIMIT]
+                                 + ["-1", "1.5", "abc", ""]))
+
 POLYS = st.one_of(
     st.sampled_from(["q + q^{-1}", "-q^{-1/2} + 2*q^{3/2}", "q^{1/0}", "1",
                      "q^{2} - 3", "0", "q^{1/3}*2"]),
@@ -173,12 +187,13 @@ ARGV = {
         _required("--algebra", st.sampled_from(["sl2", "sl3", "sl5"])),
         st.sampled_from([["--framed"], ["--framed"], ["--jones"], [],
                          ["--framed", "--jones"]]),
-        _flag("--expand", _numbers(0, 8)), _switch("--normalize"), _FORMAT),
-    "bracket": _argv(st.just(["bracket"]), _required("--link", LINKS),
+        _flag("--expand", ORDERS), _switch("--normalize"), _FORMAT),
+    "bracket": _argv(st.just(["bracket"]), _required("--link", LONG_LINKS),
                      _FORMAT),
-    "jones": _argv(st.just(["jones"]), _required("--link", LINKS), _FORMAT),
+    "jones": _argv(st.just(["jones"]), _required("--link", LONG_LINKS),
+                   _FORMAT),
     "expand": _argv(st.just(["expand"]), _required("--poly", POLYS),
-                    _required("--order", _numbers(0, 8)),
+                    _required("--order", ORDERS),
                     _switch("--normalize"), _FORMAT),
     "cohomology": _argv(
         st.just(["cohomology"]), _required("--algebra", ALGEBRAS),
@@ -202,7 +217,7 @@ ARGV = {
             st.lists(st.sampled_from(["0", "0", "1", "-1", "2", "1/2"]),
                      min_size=3, max_size=3).map(",".join),
             st.sampled_from(["", "x", "1,,2", "1/0", "0,0,0,0,0,0,1,1"]))),
-        _required("--order", _numbers(0, 8)), _FORMAT),
+        _required("--order", ORDERS), _FORMAT),
     "weights": _argv(
         st.just(["weights"]), _required("--graph", GRAPHS),
         _required("--algebra", ALGEBRAS),
@@ -222,7 +237,7 @@ ARGV = {
 }
 
 
-def _run(argv):
+def _run(argv) -> int:
     sink = io.StringIO()
     try:
         with contextlib.redirect_stdout(sink), \
@@ -230,15 +245,25 @@ def _run(argv):
             code = main(argv)
     except SystemExit as exc:
         assert exc.code == 2, f"rtfactor {shlex.join(argv)} exited {exc.code}"
-        return
+        return 2
     except Exception as exc:
         raise AssertionError(
             f"rtfactor {shlex.join(argv)} raised {exc!r}") from exc
     assert code in (0, 1), f"rtfactor {shlex.join(argv)} returned {code}"
+    return code
+
+
+def _over_limit(argv) -> bool:
+    return any(flag in ("--order", "--expand") and value.isdigit()
+               and int(value) > MAX_SERIES_ORDER
+               for flag, value in zip(argv, argv[1:]))
 
 
 @pytest.mark.parametrize("subcommand", sorted(ARGV))
 @FUZZ
 @given(data=st.data())
 def test_cli_exits_0_1_or_2(subcommand, data):
-    _run(data.draw(ARGV[subcommand], label="argv"))
+    argv = data.draw(ARGV[subcommand], label="argv")
+    code = _run(argv)
+    assert code != 0 or not _over_limit(argv), (
+        f"rtfactor {shlex.join(argv)} accepted an order above the limit")

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from rtfactor.errors import ConstantTermViolation, ParseError
+from rtfactor.errors import ConstantTermViolation, DimensionTooLarge, ParseError
 from rtfactor.ring import (
+    MAX_SERIES_ORDER,
     HSeries,
     LaurentPoly,
     exp_rational_series,
@@ -204,6 +205,17 @@ def test_parse_hseries_rejects_zero_denominator():
 
 
 # -- Series ------------------------------------------------------------------
+
+def test_series_order_limit():
+    assert HSeries.zero(MAX_SERIES_ORDER).order == MAX_SERIES_ORDER
+    for order in (MAX_SERIES_ORDER + 1, 10 ** 30):
+        with pytest.raises(DimensionTooLarge, match=str(MAX_SERIES_ORDER)):
+            HSeries.make(order)
+        with pytest.raises(DimensionTooLarge, match=str(order)):
+            laurent_to_hseries(q(1), order)
+    with pytest.raises(DimensionTooLarge):
+        parse_hseries(f"1 + O(h^{{{10 ** 12}}})")
+
 
 def test_series_truncation_to_min_order():
     a = HSeries.make(5, [1, 1, 1, 1, 1, 1])

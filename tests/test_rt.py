@@ -269,23 +269,40 @@ def test_writhe_corrected_invariant_ignores_kinks():
 
 def test_expansion_of_unknot_is_one():
     qdim = quantum_dimension(sln_fundamental_ribbon(2))
-    series = hbar_expand_invariant(qdim, 4, normalize=True)
+    series = hbar_expand_invariant(qdim, 4, normalize=True, unknot_value=qdim)
     assert series == HSeries.const(Fraction(1), 4)
 
 
 def test_expansion_of_trefoil_pins_degree_two_coefficient():
     tangle = _tangle("trefoil_right")
-    value = writhe_corrected_invariant(tangle, sln_fundamental_ribbon(2))
-    series = hbar_expand_invariant(value, 2, normalize=True)
+    rep = sln_fundamental_ribbon(2)
+    value = writhe_corrected_invariant(tangle, rep)
+    series = hbar_expand_invariant(value, 2, normalize=True,
+                                   unknot_value=quantum_dimension(rep))
     assert series.coeffs[0] == 1
     assert series.coeffs[1] == 0
     assert series.coeffs[2] == Fraction(-3)
 
 
+def test_normalized_sl3_trefoil_expansion_starts_at_one():
+    rep = sln_fundamental_ribbon(3)
+    value = writhe_corrected_invariant(_tangle("trefoil_right"), rep)
+    series = hbar_expand_invariant(value, 2, normalize=True,
+                                   unknot_value=quantum_dimension(rep))
+    assert series.coeffs == (Fraction(1), Fraction(0), Fraction(-8))
+
+
+def test_normalizing_needs_an_unknot_value():
+    with pytest.raises(TypeError):
+        hbar_expand_invariant(LaurentPoly.one(), 2, normalize=True)
+
+
 def test_expansion_of_figure_eight_starts_flat():
     tangle = _tangle("figure_eight")
-    value = writhe_corrected_invariant(tangle, sln_fundamental_ribbon(2))
-    series = hbar_expand_invariant(value, 1, normalize=True)
+    rep = sln_fundamental_ribbon(2)
+    value = writhe_corrected_invariant(tangle, rep)
+    series = hbar_expand_invariant(value, 1, normalize=True,
+                                   unknot_value=quantum_dimension(rep))
     assert series.coeffs == (Fraction(1), Fraction(0))
 
 
