@@ -3,17 +3,22 @@
 * ``mat_mul``: matrix product, skipping zero entries.
 * ``linear_combination``: the sum of c_a M_a over paired coefficients and
   matrices.
-* ``exact_rank``: rank over the rationals.
+* ``exact_rank``: rank over the rationals, by sparse fraction-free
+  elimination over the integers.
 * ``mat_inv``: inverse of a square matrix over the rationals.
 
-Everything here works on lists-of-lists over an exact ring (Fraction, or any
-type with +, -, * and a truthy zero test); ``mat_mul`` takes the ring's zero
-as an argument.  No pivoting strategy games: these matrices are small and
-exact, so plain Gaussian elimination is enough.
+Matrices are lists-of-lists over an exact ring (Fraction, or any type with
++, -, * and a truthy zero test); ``mat_mul`` takes the ring's zero as an
+argument.  ``exact_rank`` takes Fraction/int rows: its inputs, the
+Chevalley-Eilenberg differentials, have thousands of mostly zero rows with
+small integer entries, so it eliminates over the nonzero integer entries
+only.  ``mat_inv`` serves small matrices and stays plain Gauss-Jordan.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
+from math import gcd, lcm
 
 
 def mat_mul(a, b, zero=Fraction(0)):
@@ -49,38 +54,45 @@ def linear_combination(coeffs, mats):
 
 
 def exact_rank(rows) -> int:
-    """Rank over the rationals by fraction-exact row reduction.
+    """Rank over the rationals by sparse fraction-free elimination over Z.
 
-    Accepts any iterable of rows of Fractions/ints; the input is copied.
+    Takes any iterable of rows (lists or tuples) of Fractions/ints and does
+    not mutate them.  Rows become {column: int} dicts scaled by the lcm of
+    their denominators.
+    Each pivot is the least-|value| entry p of a shortest row; every other
+    row holding f in that column becomes row*(p/g) - pivot_row*(f/g),
+    g = gcd(p, f), divided by the gcd of its entries and dropped once empty.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
+    work = []
+    for row in rows:
+        cols = list(compress(count(), row))
+        if cols:
+            scale = lcm(*[row[c].denominator for c in cols])
+            work.append({c: row[c].numerator * (scale // row[c].denominator)
+                         for c in cols})
     rank = 0
-    col = 0
-    nrows = len(m)
-    while rank < nrows and col < ncols:
-        pivot = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        prow = m[rank]
-        for r in range(rank + 1, nrows):
-            f = m[r][col]
-            if f:
-                ratio = f / pv
-                row = m[r]
-                for c in range(col, ncols):
-                    row[c] -= ratio * prow[c]
+    while work:
+        lengths = list(map(len, work))
+        prow = work.pop(lengths.index(min(lengths)))
+        col = min(prow, key=lambda c: abs(prow[c]))
+        p = prow[col]
         rank += 1
-        col += 1
+        for r, row in enumerate(work):
+            f = row.get(col)
+            if f is None:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            new = {c: a * v for c, v in row.items()}
+            for c, v in prow.items():
+                x = new.get(c, 0) - b * v
+                if x:
+                    new[c] = x
+                else:
+                    del new[c]
+            g = gcd(*new.values())
+            work[r] = {c: v // g for c, v in new.items()} if g > 1 else new
+        work = [row for row in work if row]
     return rank
 
 

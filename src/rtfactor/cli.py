@@ -33,7 +33,8 @@ from .kauffman import jones_polynomial, kauffman_bracket
 from .lie import (InvariantPairing, LieAlgebra, Representation,
                   algebra_from_json, builtin, killing_form)
 from .quantum_group import quantum_dimension, sln_fundamental_ribbon
-from .ring import format_hseries, format_laurent, parse_laurent
+from .ring import (check_series_order, format_hseries, format_laurent,
+                   parse_laurent)
 from .rt import (framed_invariant, hbar_expand_invariant, jones_from_quantum,
                  writhe_corrected_invariant)
 from .weights import (BicoloredGraph, coupled_weight, graph_from_json,
@@ -161,6 +162,8 @@ def _emit(args, lines, payload) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_invariant(args) -> int:
+    if args.expand is not None:
+        check_series_order(args.expand)  # before the sweep, not after it
     tangle = _load_link(args.link).tangle()
     n = int(args.algebra[2:])
     if args.jones and n != 2:

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from ._linalg import exact_rank, linear_combination, mat_mul
 from .errors import (
@@ -29,9 +30,8 @@ from .ring import rat
 # JSON parsing and builtin() refuse larger algebras before allocating their
 # dim^3 structure constants.  cohomology (ce.MAX_ALGEBRA_DIM) and weights
 # (weights.MAX_WEIGHT_ALGEBRA_DIM) admit less; character admits a JSON
-# algebra equal to a builtin with a representation, and sln_fundamental(4)
-# at 15 is the largest whose Jacobi check (about dim^5 / 2 rational
-# products) ends in seconds.
+# algebra equal to a builtin with a representation, and 15 admits
+# sln_fundamental(4).
 MAX_PARSED_ALGEBRA_DIM = 15
 # builtin() refuses larger sl2_irrep carriers: checking the representation
 # costs about the square of the carrier dimension (10 s at 1024).
@@ -101,17 +101,19 @@ def make_lie_algebra(structure_constants) -> LieAlgebra:
             for c in range(d):
                 if f[a][b][c] != -f[b][a][c]:
                     raise AntisymmetryViolation((a, b, c))
-    for a in range(d):
-        for b in range(a + 1, d):
-            for c in range(b + 1, d):
-                for k in range(d):
-                    acc = Fraction(0)
-                    for m in range(d):
-                        acc += (f[a][b][m] * f[m][c][k]
-                                + f[b][c][m] * f[m][a][k]
-                                + f[c][a][m] * f[m][b][k])
-                    if acc:
-                        raise JacobiViolation((a, b, c, k))
+    # Jacobi, summed over nonzero constants only: f_xy^m f_mz^k for the
+    # three cyclic orders (x, y, z) of each triple a < b < c.
+    nonzero = [[[(m, v) for m, v in enumerate(row) if v] for row in plane]
+               for plane in f]
+    for a, b, c in combinations(range(d), 3):
+        acc = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for m, v in nonzero[x][y]:
+                for k, w in nonzero[m][z]:
+                    acc[k] = acc.get(k, 0) + v * w
+        broken = [k for k, v in acc.items() if v]
+        if broken:
+            raise JacobiViolation((a, b, c, min(broken)))
     frozen = tuple(tuple(tuple(row) for row in plane) for plane in f)
     return LieAlgebra(d, frozen)
 

@@ -30,6 +30,12 @@ Rational = Fraction
 MAX_SERIES_ORDER = 100
 
 
+def check_series_order(order: int) -> None:
+    if order > MAX_SERIES_ORDER:
+        raise DimensionTooLarge(
+            f"series order {order} exceeds the limit {MAX_SERIES_ORDER}")
+
+
 def rat(x) -> Fraction:
     """Coerce an int, string like '3/4', or Fraction to an exact Rational."""
     if isinstance(x, Fraction):
@@ -271,9 +277,7 @@ class HSeries:
     def make(order: int, coeffs=()) -> "HSeries":
         if order < 0:
             raise ValueError("order must be nonnegative")
-        if order > MAX_SERIES_ORDER:
-            raise DimensionTooLarge(
-                f"series order {order} exceeds the limit {MAX_SERIES_ORDER}")
+        check_series_order(order)
         cs = [rat(c) for c in coeffs][: order + 1]
         cs += [Fraction(0)] * (order + 1 - len(cs))
         return HSeries(order, tuple(cs))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from rtfactor import cli
 from rtfactor.cli import main
 from rtfactor.confint import curve_to_json, twisted_circle, unit_circle
 from rtfactor.diagram import CATALOG, pd_from_sliced, resolve_link, writhe
@@ -178,6 +179,26 @@ def test_order_at_the_limit_finishes(capsys, argv):
     assert code == 0
     if argv is not _CHARACTER:
         assert parse_hseries(out.strip()).order == MAX_SERIES_ORDER
+
+
+@pytest.mark.parametrize("mode", ["--framed", "--jones"])
+@pytest.mark.parametrize("normalize", [[], ["--normalize"]])
+def test_invariant_order_refused_before_the_sweep(capsys, monkeypatch, mode,
+                                                  normalize):
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the order was checked")
+
+    for name in ("framed_invariant", "writhe_corrected_invariant",
+                 "jones_from_quantum"):
+        monkeypatch.setattr(cli, name, sweep)
+    algebra = "sl2" if mode == "--jones" else "sl3"
+    code, _, err = run_cli(
+        capsys, "invariant", "--link", "B5:1,2,3,4,-1,-2,-3,-4,1,2,3,4,2,-3,1,4",
+        "--algebra", algebra, mode, *normalize, "--expand",
+        str(MAX_SERIES_ORDER + 1))
+    assert code == 1
+    assert err == (f"error: series order {MAX_SERIES_ORDER + 1} exceeds the "
+                   f"limit {MAX_SERIES_ORDER}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import resource
 import subprocess
@@ -67,6 +68,40 @@ def test_jacobi_rejected():
         make_lie_algebra(f)
     assert exc.value.indices == (0, 1, 2, 2)
     assert str(exc.value).count("Jacobi identity fails") == 1
+
+
+def _first_jacobi_failure(f):
+    """Dense oracle: the first (a, b, c, k), a < b < c, whose cyclic sum
+    over every m is nonzero, or None."""
+    d = len(f)
+    for a in range(d):
+        for b in range(a + 1, d):
+            for c in range(b + 1, d):
+                for k in range(d):
+                    acc = sum((f[a][b][m] * f[m][c][k]
+                               + f[b][c][m] * f[m][a][k]
+                               + f[c][a][m] * f[m][b][k] for m in range(d)),
+                              Fraction(0))
+                    if acc:
+                        return (a, b, c, k)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_jacobi_violation_indices_match_dense_oracle(seed):
+    g, _ = builtin("sl3")
+    f = [[list(row) for row in plane] for plane in g.structure_constants]
+    rng = random.Random(seed)
+    a, b = rng.sample(range(g.dim), 2)
+    c = rng.randrange(g.dim)
+    delta = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+    f[a][b][c] += delta
+    f[b][a][c] -= delta
+    expected = _first_jacobi_failure(f)
+    assert expected is not None
+    with pytest.raises(JacobiViolation) as exc:
+        make_lie_algebra(f)
+    assert exc.value.indices == expected
 
 
 def test_non_cubic_rejected():
