@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 
 from ._linalg import exact_rank, mat_mul
-from .errors import DimensionTooLarge
+from .errors import check_size
 from .lie import LieAlgebra, Representation, check_bracket_compatible
 from .ring import rat
 
@@ -82,8 +82,7 @@ class CochainComplex:
 def ce_complex(g: LieAlgebra, module: SuperModule) -> CochainComplex:
     """Build the full cochain complex; asserts d.d = 0 exactly."""
     d = g.dim
-    if d > MAX_ALGEBRA_DIM:
-        raise DimensionTooLarge(f"algebra dimension {d} exceeds {MAX_ALGEBRA_DIM}")
+    check_size("algebra dimension", d, MAX_ALGEBRA_DIM)
     dim_m = module.dim
     f = g.structure_constants
 
@@ -168,9 +167,7 @@ def defect_module(g: LieAlgebra, rho: Representation, boundary: bool = False) ->
     word; the boundary variant keeps words with at least one V* factor.
     """
     n = rho.dim
-    if n > MAX_DEFECT_CARRIER_DIM:
-        raise DimensionTooLarge(
-            f"carrier dimension {n} exceeds {MAX_DEFECT_CARRIER_DIM}")
+    check_size("carrier dimension", n, MAX_DEFECT_CARRIER_DIM)
     total = 2 * n
     dual_mask = ((1 << n) - 1) << n
     if boundary:

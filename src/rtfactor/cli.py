@@ -28,12 +28,12 @@ from .confint import (framed_self_linking, framing_twist_turns, gauss_linking,
                       hopf_pair, torus_knot, twisted_circle, unit_circle,
                       curves_from_json, writhe_integral)
 from .diagram import link_from_json, pd_from_sliced, resolve_link, writhe
-from .errors import ParseError, RTFactorError, UnknownName
+from .errors import ParseError, RTFactorError, UnknownName, check_size
 from .kauffman import jones_polynomial, kauffman_bracket
 from .lie import (InvariantPairing, LieAlgebra, Representation,
                   algebra_from_json, builtin, killing_form)
 from .quantum_group import quantum_dimension, sln_fundamental_ribbon
-from .ring import (check_series_order, format_hseries, format_laurent,
+from .ring import (MAX_SERIES_ORDER, format_hseries, format_laurent,
                    parse_laurent)
 from .rt import (framed_invariant, hbar_expand_invariant, jones_from_quantum,
                  writhe_corrected_invariant)
@@ -163,7 +163,7 @@ def _emit(args, lines, payload) -> None:
 
 def _cmd_invariant(args) -> int:
     if args.expand is not None:
-        check_series_order(args.expand)  # before the sweep, not after it
+        check_size("series order", args.expand, MAX_SERIES_ORDER)  # pre-sweep
     tangle = _load_link(args.link).tangle()
     n = int(args.algebra[2:])
     if args.jones and n != 2:

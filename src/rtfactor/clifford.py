@@ -22,7 +22,7 @@ from itertools import permutations
 from math import factorial
 
 from ._linalg import exact_rank, linear_combination, mat_mul
-from .errors import DimensionMismatch, DimensionTooLarge, TraceNotZero
+from .errors import DimensionMismatch, TraceNotZero, check_size
 from .lie import LieAlgebra, Representation
 from .ring import HSeries, rat, series_exp, series_inverse, series_log
 
@@ -204,8 +204,7 @@ def supertrace_via_top(a: CliffordElement) -> Fraction:
 
 def hh0_dimension(d: int) -> int:
     """Codimension of the span of graded commutators of basis words."""
-    if d > MAX_HH_DIM:
-        raise DimensionTooLarge(f"generator count {d} exceeds {MAX_HH_DIM}")
+    check_size("generator count", d, MAX_HH_DIM)
     words = [(b, x) for b in range(1 << d) for x in range(1 << d)]
     index = {w: i for i, w in enumerate(words)}
     n = len(words)

@@ -15,9 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurvesIntersect, ParseError
+from .errors import CurvesIntersect, ParseError, check_size
 
 MIN_POINTS = 8
+
+# The integrals hold about 70 bytes per segment pair at once: ~300 MB for
+# two 2048-sample curves.
+MAX_SEGMENT_PAIRS = 2048 * 2048
 
 # Segment midpoints closer than this are treated as a collision.
 INTERSECTION_TOLERANCE = 1e-8
@@ -85,6 +89,8 @@ def gauss_linking(c1: ParamCurve, c2: ParamCurve) -> float:
     Midpoint rule over all segment pairs of
     (1/4pi) (r1 - r2) . (dr1 x dr2) / |r1 - r2|^3.
     """
+    check_size("segment pair count", len(c1.points) * len(c2.points),
+               MAX_SEGMENT_PAIRS)
     m1, d1 = _segments(c1.points)
     m2, d2 = _segments(c2.points)
     sep = m1[:, None, :] - m2[None, :, :]
@@ -106,6 +112,7 @@ def framed_self_linking(c: ParamCurve, epsilon: float) -> float:
 
 def writhe_integral(c: ParamCurve) -> float:
     """Gauss self-integral with the diagonal segment pairs dropped."""
+    check_size("segment pair count", len(c.points) ** 2, MAX_SEGMENT_PAIRS)
     mids, dirs = _segments(c.points)
     sep = mids[:, None, :] - mids[None, :, :]
     dist = np.linalg.norm(sep, axis=2)
@@ -193,11 +200,18 @@ _PLANES = {
 }
 
 
+def _angles(samples: int) -> np.ndarray:
+    """Parameters of a built-in curve; refused before anything is allocated
+    when its Gauss self-integral would be."""
+    check_size("segment pair count", samples * samples, MAX_SEGMENT_PAIRS)
+    return np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+
+
 def unit_circle(samples: int, *, center=(0.0, 0.0, 0.0), plane: str = "xy") -> ParamCurve:
     if plane not in _PLANES:
         raise ParseError(f"unknown plane {plane!r}")
     e1, e2 = _PLANES[plane]
-    angles = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    angles = _angles(samples)
     pts = (np.asarray(center, dtype=float)
            + np.outer(np.cos(angles), e1) + np.outer(np.sin(angles), e2))
     return make_param_curve(pts)
@@ -214,7 +228,7 @@ def twisted_circle(samples: int, turns: int) -> ParamCurve:
     """Planar unit circle framed by a normal field making `turns` full
     turns; its framed self-linking is `turns`.  Zero turns gives the
     constant vertical framing."""
-    angles = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    angles = _angles(samples)
     pts = np.stack([np.cos(angles), np.sin(angles), np.zeros(samples)], axis=1)
     radial = np.stack([np.cos(angles), np.sin(angles), np.zeros(samples)], axis=1)
     vertical = np.broadcast_to(np.array([0.0, 0.0, 1.0]), pts.shape)
@@ -231,7 +245,7 @@ def torus_knot(samples: int, p: int = 2, q: int = 3) -> ParamCurve:
     """
     if math.gcd(p, q) != 1:
         raise ParseError("p and q must be coprime")
-    t = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    t = _angles(samples)
     radius = 2.0 + np.cos(q * t)
     pts = np.stack([radius * np.cos(p * t), radius * np.sin(p * t),
                     -np.sin(q * t)], axis=1)

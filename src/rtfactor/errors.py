@@ -35,7 +35,17 @@ class UnknownName(RTFactorError):
 
 
 class DimensionTooLarge(RTFactorError):
-    """Requested computation exceeds the exact-arithmetic size guard."""
+    """Requested computation exceeds a size guard; see check_size."""
+
+
+def check_size(what: str, size: int, limit: int) -> None:
+    """Refuse a ``size`` above ``limit``; callers check before allocating.
+
+    The one place DimensionTooLarge is raised.  Each limit lives in the
+    module it bounds; ``what`` names the quantity in the message.
+    """
+    if size > limit:
+        raise DimensionTooLarge(f"{what} {size} exceeds the limit {limit}")
 
 
 class DimensionMismatch(RTFactorError):
@@ -59,11 +69,7 @@ class GeneratorOutOfRange(RTFactorError):
 
 
 class OpenTangle(RTFactorError):
-    """Operation requires a closed tangle."""
-
-
-class NotClosed(RTFactorError):
-    """Framed invariants are defined for closed tangles only."""
+    """Operation requires a closed diagram."""
 
 
 class ArityMismatch(RTFactorError):
@@ -80,10 +86,6 @@ class OpenGraph(RTFactorError):
 
 class OpenFermionPath(RTFactorError):
     """Scalar coupled weight requested on a graph with an open fermion path."""
-
-
-class TooLarge(RTFactorError):
-    """Brute-force enumeration guard exceeded."""
 
 
 class CurvesIntersect(RTFactorError):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from .diagram import PDCode
-from .errors import DimensionTooLarge
+from .errors import check_size
 from .ring import LaurentPoly
 
 # About a microsecond per unit; the largest admitted braids take 1-4 s.
@@ -68,10 +68,8 @@ def kauffman_bracket(pd: PDCode, normalized: bool = True) -> LaurentPoly:
     quantum-group closure matches the unnormalized value.  Raises
     DimensionTooLarge when ``sweep_cost`` exceeds ``MAX_SWEEP_COST``."""
     cost, peak = sweep_cost(pd)
-    if cost > MAX_SWEEP_COST:
-        raise DimensionTooLarge(
-            f"bracket sweep estimate {cost} (peak {peak} open ends, "
-            f"{len(pd.crossings)} crossings) exceeds the limit {MAX_SWEEP_COST}")
+    check_size(f"bracket sweep of {len(pd.crossings)} crossings, peak {peak} "
+               "open ends, estimate", cost, MAX_SWEEP_COST)
     delta = loop_value()
     factors = {choose_a: [LaurentPoly.q_power(power) * delta ** n for n in range(3)]
                for choose_a, power in ((True, 1), (False, -1))}

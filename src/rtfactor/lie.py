@@ -20,28 +20,19 @@ from ._linalg import exact_rank, linear_combination, mat_mul
 from .errors import (
     AntisymmetryViolation,
     DimensionMismatch,
-    DimensionTooLarge,
     JacobiViolation,
     ParseError,
     UnknownName,
+    check_size,
 )
 from .ring import rat
 
 # JSON parsing and builtin() refuse larger algebras before allocating their
-# dim^3 structure constants.  cohomology (ce.MAX_ALGEBRA_DIM) and weights
-# (weights.MAX_WEIGHT_ALGEBRA_DIM) admit less; character admits a JSON
-# algebra equal to a builtin with a representation, and 15 admits
-# sln_fundamental(4).
+# dim^3 structure constants; 15 admits sln_fundamental(4).
 MAX_PARSED_ALGEBRA_DIM = 15
 # builtin() refuses larger sl2_irrep carriers: checking the representation
 # costs about the square of the carrier dimension (10 s at 1024).
 MAX_IRREP_DIM = 1024
-
-
-def _check_algebra_dim(d: int) -> None:
-    if d > MAX_PARSED_ALGEBRA_DIM:
-        raise DimensionTooLarge(
-            f"algebra dimension {d} exceeds {MAX_PARSED_ALGEBRA_DIM}")
 
 
 @dataclass(frozen=True)
@@ -235,9 +226,7 @@ def _sl2_irrep(k: int) -> tuple[LieAlgebra, Representation]:
     """(k+1)-dimensional irreducible of sl2 on v_0..v_k (v_0 highest weight)."""
     if k < 0:
         raise UnknownName("sl2_irrep needs a nonnegative highest weight")
-    if k + 1 > MAX_IRREP_DIM:
-        raise DimensionTooLarge(
-            f"sl2_irrep carrier dimension {k + 1} exceeds {MAX_IRREP_DIM}")
+    check_size("sl2_irrep carrier dimension", k + 1, MAX_IRREP_DIM)
     g, _ = _sl2()
     n = k + 1
     H = [[Fraction(0)] * n for _ in range(n)]
@@ -263,7 +252,7 @@ def _sln_fundamental(n: int) -> tuple[LieAlgebra, Representation]:
     """
     if n < 2:
         raise UnknownName("sln_fundamental needs n >= 2")
-    _check_algebra_dim(n * n - 1)
+    check_size("algebra dimension", n * n - 1, MAX_PARSED_ALGEBRA_DIM)
     basis = []
     index_of_offdiag = {}
     for i in range(n):
@@ -322,7 +311,7 @@ def _so3() -> tuple[LieAlgebra, Representation]:
 def _abelian(d: int) -> tuple[LieAlgebra, Representation]:
     if d < 1:
         raise UnknownName("abelian needs a positive dimension")
-    _check_algebra_dim(d)
+    check_size("algebra dimension", d, MAX_PARSED_ALGEBRA_DIM)
     f = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     g = make_lie_algebra(f)
     # the trivial 1-dimensional representation, handy for defect computations
@@ -396,7 +385,7 @@ def algebra_from_json(text: str) -> LieAlgebra:
     d = data["dim"]
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise DimensionMismatch("dim must be a positive integer")
-    _check_algebra_dim(d)
+    check_size("algebra dimension", d, MAX_PARSED_ALGEBRA_DIM)
     f = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     try:
         for entry in data.get("brackets", []):

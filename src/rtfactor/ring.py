@@ -22,18 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .errors import ConstantTermViolation, DimensionTooLarge, ParseError
+from .errors import ConstantTermViolation, ParseError, check_size
 
 Rational = Fraction
 
 # Largest HSeries order; at 100 `character` with a 3-dimensional rep takes ~1 s.
 MAX_SERIES_ORDER = 100
-
-
-def check_series_order(order: int) -> None:
-    if order > MAX_SERIES_ORDER:
-        raise DimensionTooLarge(
-            f"series order {order} exceeds the limit {MAX_SERIES_ORDER}")
 
 
 def rat(x) -> Fraction:
@@ -277,7 +271,7 @@ class HSeries:
     def make(order: int, coeffs=()) -> "HSeries":
         if order < 0:
             raise ValueError("order must be nonnegative")
-        check_series_order(order)
+        check_size("series order", order, MAX_SERIES_ORDER)
         cs = [rat(c) for c in coeffs][: order + 1]
         cs += [Fraction(0)] * (order + 1 - len(cs))
         return HSeries(order, tuple(cs))

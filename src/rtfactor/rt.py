@@ -37,7 +37,7 @@ from .diagram import (
     pd_from_sliced,
     writhe,
 )
-from .errors import ArityMismatch, NonInvertibleNormalizer, NotClosed
+from .errors import ArityMismatch, NonInvertibleNormalizer, OpenTangle
 from .kauffman import kauffman_bracket
 from .quantum_group import (
     RibbonRep,
@@ -127,7 +127,7 @@ def evaluate_sliced_tangle(t: SlicedTangle, rep: RibbonRep) -> TangleValue:
 def framed_invariant(link: SlicedTangle, rep: RibbonRep) -> LaurentPoly:
     """Scalar value of a closed diagram; sensitive to kinks through the twist."""
     if not link.closed:
-        raise NotClosed("framed invariant needs a closed diagram")
+        raise OpenTangle("framed invariant needs a closed diagram")
     return evaluate_sliced_tangle(link, rep).matrix[0][0]
 
 
@@ -195,7 +195,7 @@ def compare_with_bracket(link: SlicedTangle,
     matching rule is reported; the verdict is whether any rule works.
     """
     if not link.closed:
-        raise NotClosed("bracket comparison needs a closed diagram")
+        raise OpenTangle("bracket comparison needs a closed diagram")
     if rep is None:
         rep = sln_fundamental_ribbon(2)
     value = framed_invariant(link, rep)

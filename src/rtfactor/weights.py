@@ -26,12 +26,11 @@ from itertools import permutations, product
 from ._linalg import linear_combination, mat_inv, mat_mul
 from .diagram import UnionFind
 from .errors import (
-    DimensionTooLarge,
     OpenFermionPath,
     OpenGraph,
     ParseError,
     SingularPairing,
-    TooLarge,
+    check_size,
 )
 from .lie import InvariantPairing, LieAlgebra, Representation
 from .ring import HSeries
@@ -299,12 +298,8 @@ def _partners(edges) -> dict:
 
 
 def _guard_size(g: LieAlgebra, edge_count: int) -> None:
-    if g.dim > MAX_WEIGHT_ALGEBRA_DIM:
-        raise DimensionTooLarge(
-            f"algebra dimension {g.dim} exceeds {MAX_WEIGHT_ALGEBRA_DIM}")
-    if edge_count > MAX_WEIGHT_EDGES:
-        raise DimensionTooLarge(
-            f"{edge_count} edges exceed the bound {MAX_WEIGHT_EDGES}")
+    check_size("algebra dimension", g.dim, MAX_WEIGHT_ALGEBRA_DIM)
+    check_size("edge count", edge_count, MAX_WEIGHT_EDGES)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +473,7 @@ def symmetry_factor(graph: JacobiGraph) -> int:
     matching; the cyclic orders do not constrain it, matching the way
     the diagram sum divides by vertex and edge permutations.
     """
-    if len(graph.vertices) > MAX_AUT_VERTICES:
-        raise TooLarge(
-            f"{len(graph.vertices)} vertices exceed {MAX_AUT_VERTICES}")
+    check_size("vertex count", len(graph.vertices), MAX_AUT_VERTICES)
     verts = graph.vertices
     partner = _partners(graph.edges)
     legs = set(graph.legs)

@@ -346,7 +346,8 @@ _LEG_GRAPH = ('{"coupling_vertices": [[0, 1, 2]], "legs": [3], '
 @pytest.mark.parametrize("argv, message", [
     (["--algebra", "sl2", "--pairing-scale", "0"], "singular"),
     (["--algebra", "abelian(2)"], "singular"),
-    (["--algebra", "abelian(100000)"], "exceeds 15"),
+    (["--algebra", "abelian(100000)"],
+     "algebra dimension 100000 exceeds the limit 15"),
     (["--algebra", "sl2", "--graph", _LEG_GRAPH], "open legs"),
     (["--algebra", "sl2", "--graph",
       '{"coupling_vertices": [], "fermion_loops": 2.5}'], "fermion_loops"),

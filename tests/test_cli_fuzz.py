@@ -3,10 +3,11 @@
 Each example calls ``rtfactor.cli.main`` in-process.  Success and domain
 errors return 0 or 1; usage errors leave through argparse's SystemExit(2).
 Any other exception fails the test and names the command line, and so does
-exit 0 with an order above ``MAX_SERIES_ORDER``.  Inputs stay small: braids
+exit 0 with an order above ``MAX_SERIES_ORDER`` or a built-in curve with
+more segment pairs than ``MAX_SEGMENT_PAIRS``.  Inputs stay small: braids
 of at most 4 strands and 8 letters (30 for ``bracket`` and ``jones``),
-orders up to 8 or above the limit, at most 128 curve samples, small
-algebras, and ``verify`` only with malformed seeds.
+orders up to 8 or above the limit, curve samples up to 128 or above the
+limit, small algebras, and ``verify`` only with malformed seeds.
 """
 
 import contextlib
@@ -14,12 +15,14 @@ import io
 import json
 import random
 import shlex
+from math import isqrt
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rtfactor.cli import main
+from rtfactor.confint import MAX_SEGMENT_PAIRS
 from rtfactor.diagram import CATALOG, LINK_ALIASES
 from rtfactor.lie import algebra_to_json, builtin
 from rtfactor.ring import MAX_SERIES_ORDER
@@ -144,9 +147,14 @@ def _curve_json(draw):
     return json.dumps(curve if draw(st.booleans()) else [curve, curve])
 
 
-CURVES = _mostly(st.sampled_from(["circle", "hopf", "trefoil", "twisted:2",
-                                  "twisted:-1"]),
+BUILT_IN_CURVES = ["circle", "hopf", "trefoil", "twisted:2", "twisted:-1"]
+CURVES = _mostly(st.sampled_from(BUILT_IN_CURVES),
                  st.one_of(st.just("twisted:x"), _curve_json(), _GARBAGE))
+# A built-in curve of n samples has n^2 segment pairs.
+SAMPLE_LIMIT = isqrt(MAX_SEGMENT_PAIRS)
+# Half above the limit: refusing them allocates nothing.
+SAMPLES = st.one_of(_numbers(0, 128),
+                    st.sampled_from([str(SAMPLE_LIMIT + 1), str(10 ** 30)]))
 
 # -- command lines ------------------------------------------------------------
 
@@ -227,7 +235,7 @@ ARGV = {
         _FORMAT),
     "linking": _argv(
         st.just(["linking"]), _required("--curves", CURVES),
-        _flag("--samples", _numbers(0, 128)),
+        _flag("--samples", SAMPLES),
         _flag("--epsilon", st.sampled_from(["0.1", "0", "-1", "nan", "inf",
                                             "1e-9", "x"])),
         _FORMAT),
@@ -254,8 +262,10 @@ def _run(argv) -> int:
 
 
 def _over_limit(argv) -> bool:
-    return any(flag in ("--order", "--expand") and value.isdigit()
-               and int(value) > MAX_SERIES_ORDER
+    limits = {"--order": MAX_SERIES_ORDER, "--expand": MAX_SERIES_ORDER}
+    if set(argv) & set(BUILT_IN_CURVES):
+        limits["--samples"] = SAMPLE_LIMIT
+    return any(flag in limits and value.isdigit() and int(value) > limits[flag]
                for flag, value in zip(argv, argv[1:]))
 
 
@@ -266,4 +276,4 @@ def test_cli_exits_0_1_or_2(subcommand, data):
     argv = data.draw(ARGV[subcommand], label="argv")
     code = _run(argv)
     assert code != 0 or not _over_limit(argv), (
-        f"rtfactor {shlex.join(argv)} accepted an order above the limit")
+        f"rtfactor {shlex.join(argv)} accepted a size above its limit")

@@ -1,0 +1,280 @@
+"""Every size guard, in one table.
+
+Above its limit each guard raises DimensionTooLarge with the one message
+form of ``errors.check_size``, before its costly step runs (the step is
+monkeypatched to fail).  At its limit the input is admitted and finishes.
+A lint test keeps ``check_size`` the only place the exception is raised.
+"""
+
+import ast
+from fractions import Fraction
+from math import isqrt
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from rtfactor import ce, cli, clifford, confint, kauffman, lie, ring, weights
+from rtfactor.diagram import braid_closure_sliced, make_braid, pd_from_sliced
+from rtfactor.errors import DimensionTooLarge
+from rtfactor.lie import InvariantPairing, Representation, builtin
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rtfactor"
+
+
+def _message(what, size, limit):
+    return f"{what} {size} exceeds the limit {limit}"
+
+
+def _zero_rep(g, dim):
+    zero = tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim))
+    return Representation(dim, (zero,) * g.dim)
+
+
+def _identity_pairing(dim):
+    return InvariantPairing((tuple(
+        tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)),))
+
+
+def _thetas(count):
+    graph = weights.theta_graph()
+    for _ in range(count - 1):
+        graph = weights.disjoint_union(graph, weights.theta_graph())
+    return graph
+
+
+def _prism(sides):
+    """Two ``sides``-gons joined rung by rung: 2 * sides vertices."""
+    edges = [(3 * i + 2, 3 * (sides + i) + 2) for i in range(sides)]
+    for base in (0, sides):
+        edges += [(3 * (base + i), 3 * (base + (i + 1) % sides) + 1)
+                  for i in range(sides)]
+    return weights.make_jacobi_graph(
+        [(3 * v, 3 * v + 1, 3 * v + 2) for v in range(2 * sides)], (), edges)
+
+
+# one vertex with a loop and a leg
+_LOOP_AND_LEG = weights.make_jacobi_graph([(0, 1, 2)], [3], [(0, 1), (2, 3)])
+
+
+def _circle(samples):
+    t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    return confint.make_param_curve(
+        np.stack([np.cos(t), np.sin(t), np.zeros(samples)], axis=1))
+
+
+def _two_strand_twist(crossings):
+    return pd_from_sliced(braid_closure_sliced(make_braid(2, [1] * crossings)))
+
+
+def _invariant(order):
+    args = cli._build_parser().parse_args(
+        ["invariant", "--link", "trefoil", "--algebra", "sl3", "--framed",
+         "--expand", str(order)])
+    return args.handler(args)
+
+
+_PAIRS = confint.MAX_SEGMENT_PAIRS
+_SWEEP = isqrt(kauffman.MAX_SWEEP_COST) + 1  # sigma_1^c costs c^2
+
+# id: (refused call, (what, size, limit), costly step (module, attribute))
+GUARDS = {
+    "series-order": (
+        lambda: ring.HSeries.make(ring.MAX_SERIES_ORDER + 1, [1]),
+        ("series order", ring.MAX_SERIES_ORDER + 1, ring.MAX_SERIES_ORDER),
+        (ring, "rat")),
+    "invariant-expand": (
+        lambda: _invariant(ring.MAX_SERIES_ORDER + 1),
+        ("series order", ring.MAX_SERIES_ORDER + 1, ring.MAX_SERIES_ORDER),
+        (cli, "framed_invariant")),
+    "algebra-json": (
+        lambda: lie.algebra_from_json('{"dim": 16}'),
+        ("algebra dimension", 16, lie.MAX_PARSED_ALGEBRA_DIM),
+        (lie, "Fraction")),
+    "builtin-abelian": (
+        lambda: builtin("abelian(16)"),
+        ("algebra dimension", 16, lie.MAX_PARSED_ALGEBRA_DIM),
+        (lie, "Fraction")),
+    "builtin-sln": (
+        lambda: builtin("sln_fundamental(5)"),
+        ("algebra dimension", 24, lie.MAX_PARSED_ALGEBRA_DIM),
+        (lie, "Fraction")),
+    "builtin-sl2-irrep": (
+        lambda: builtin(f"sl2_irrep({lie.MAX_IRREP_DIM})"),
+        ("sl2_irrep carrier dimension", lie.MAX_IRREP_DIM + 1,
+         lie.MAX_IRREP_DIM),
+        (lie, "Fraction")),
+    "ce-algebra": (
+        lambda: ce.cs_deformation_cohomology(builtin("abelian(11)")[0]),
+        ("algebra dimension", 11, ce.MAX_ALGEBRA_DIM),
+        (ce, "combinations")),
+    "ce-defect-carrier": (
+        lambda: ce.defect_module(builtin("abelian(1)")[0],
+                                 _zero_rep(builtin("abelian(1)")[0], 6)),
+        ("carrier dimension", 6, ce.MAX_DEFECT_CARRIER_DIM),
+        (ce, "_popcount")),
+    "clifford-hh0": (
+        lambda: clifford.hh0_dimension(clifford.MAX_HH_DIM + 1),
+        ("generator count", clifford.MAX_HH_DIM + 1, clifford.MAX_HH_DIM),
+        (clifford, "CliffordElement")),
+    "kauffman-sweep": (
+        lambda: kauffman.kauffman_bracket(_two_strand_twist(_SWEEP)),
+        (f"bracket sweep of {_SWEEP} crossings, peak 4 open ends, estimate",
+         _SWEEP ** 2, kauffman.MAX_SWEEP_COST),
+        (kauffman, "loop_value")),
+    "weights-algebra": (
+        lambda: weights.lie_weight(_thetas(1), builtin("abelian(9)")[0],
+                                   _identity_pairing(9)),
+        ("algebra dimension", 9, weights.MAX_WEIGHT_ALGEBRA_DIM),
+        (weights, "_edge_scalars")),
+    "weights-edges": (
+        lambda: weights.coupled_weight(weights.fermion_wheel(8),
+                                       *builtin("sl2"), _identity_pairing(3)),
+        ("edge count", 12, weights.MAX_WEIGHT_EDGES),
+        (weights, "_edge_scalars")),
+    "weights-symmetry": (
+        lambda: weights.symmetry_factor(
+            weights.disjoint_union(_prism(4), _LOOP_AND_LEG)),
+        ("vertex count", 9, weights.MAX_AUT_VERTICES),
+        (weights, "_partners")),
+    "confint-linking": (
+        lambda: confint.gauss_linking(_circle(2049), _circle(2048)),
+        ("segment pair count", 2049 * 2048, _PAIRS),
+        (confint, "_segments")),
+    "confint-writhe": (
+        lambda: confint.writhe_integral(_circle(2049)),
+        ("segment pair count", 2049 ** 2, _PAIRS),
+        (confint, "_segments")),
+    "confint-builder": (
+        lambda: confint.hopf_pair(2049),
+        ("segment pair count", 2049 ** 2, _PAIRS),
+        (confint, "make_param_curve")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDS))
+def test_guard_refuses_above_the_limit_before_the_costly_step(monkeypatch,
+                                                              name):
+    call, (what, size, limit), (module, costly) = GUARDS[name]
+
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{module.__name__}.{costly} ran before the guard")
+
+    monkeypatch.setattr(module, costly, fail)
+    with pytest.raises(DimensionTooLarge) as exc:
+        call()
+    assert str(exc.value) == _message(what, size, limit)
+
+
+# id: (call at the limit, its answer)
+ADMITTED = {
+    "series-order": (
+        lambda: ring.HSeries.make(ring.MAX_SERIES_ORDER, [1]).order,
+        ring.MAX_SERIES_ORDER),
+    "algebra-json": (
+        lambda: lie.algebra_from_json(
+            '{"dim": %d}' % lie.MAX_PARSED_ALGEBRA_DIM).dim,
+        lie.MAX_PARSED_ALGEBRA_DIM),
+    "builtin-abelian": (
+        lambda: builtin(f"abelian({lie.MAX_PARSED_ALGEBRA_DIM})")[0].dim,
+        lie.MAX_PARSED_ALGEBRA_DIM),
+    "ce-algebra": (  # H3, H4 of an abelian algebra: C(10, 3), C(10, 4)
+        lambda: ce.cs_deformation_cohomology(
+            builtin(f"abelian({ce.MAX_ALGEBRA_DIM})")[0]),
+        (120, 210)),
+    "ce-defect-carrier": (  # every nonempty word on 5 + 5 generators
+        lambda: ce.defect_module(
+            builtin("abelian(1)")[0],
+            _zero_rep(builtin("abelian(1)")[0], ce.MAX_DEFECT_CARRIER_DIM)).dim,
+        2 ** (2 * ce.MAX_DEFECT_CARRIER_DIM) - 1),
+    "clifford-hh0": (
+        lambda: clifford.hh0_dimension(clifford.MAX_HH_DIM), 1),
+    # No closed trivalent graph has 10 edges (it has 3V/2), so 9 is the
+    # most the edge guard admits.  Abelian structure constants vanish.
+    "weights-algebra-and-edges": (
+        lambda: weights.lie_weight(
+            _thetas(3),
+            builtin(f"abelian({weights.MAX_WEIGHT_ALGEBRA_DIM})")[0],
+            _identity_pairing(weights.MAX_WEIGHT_ALGEBRA_DIM)),
+        0),
+    "weights-symmetry": (  # the cube graph
+        lambda: weights.symmetry_factor(_prism(weights.MAX_AUT_VERTICES // 2)),
+        48),
+    "confint-builder": (
+        lambda: [len(c.points) for c in confint.hopf_pair(isqrt(_PAIRS))],
+        [2048, 2048]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADMITTED))
+def test_guard_admits_its_limit(name):
+    call, answer = ADMITTED[name]
+    assert call() == answer
+
+
+# Guards a command line reaches, one above the limit: (argv, message)
+_FOUR_THETAS = weights.graph_to_json(_thetas(4))
+CLI_REFUSALS = [
+    (["expand", "--poly", "q", "--order", "101"],
+     _message("series order", 101, 100)),
+    (["cohomology", "--algebra", "abelian(16)"],
+     _message("algebra dimension", 16, 15)),
+    (["cohomology", "--algebra", "sl2", "--coefficients",
+      "rep:sl2_irrep(1024)"],
+     _message("sl2_irrep carrier dimension", 1025, 1024)),
+    (["cohomology", "--algebra", "abelian(11)"],
+     _message("algebra dimension", 11, 10)),
+    (["cohomology", "--algebra", "sl2", "--deformation", "defect",
+      "--coefficients", "rep:sl2_irrep(5)"],
+     _message("carrier dimension", 6, 5)),
+    (["weights", "--algebra", "abelian(9)", "--graph", _FOUR_THETAS],
+     _message("algebra dimension", 9, 8)),
+    (["weights", "--algebra", "sl2", "--graph", _FOUR_THETAS],
+     _message("edge count", 12, 10)),
+    (["bracket", "--link", "B2:" + ",".join(["1"] * 1415)],
+     _message("bracket sweep of 1415 crossings, peak 4 open ends, estimate",
+              1415 ** 2, 2_000_000)),
+    (["linking", "--curves", "circle", "--samples", "2049"],
+     _message("segment pair count", 2049 ** 2, 2048 ** 2)),
+    (["linking", "--curves", "hopf", "--samples", str(10 ** 30)],
+     _message("segment pair count", 10 ** 60, 2048 ** 2)),
+]
+
+
+@pytest.mark.parametrize("argv, message", CLI_REFUSALS,
+                         ids=[argv[0] for argv, _ in CLI_REFUSALS])
+def test_cli_refusal_exits_1_with_the_uniform_message(capsys, argv, message):
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+def _raises(tree):
+    """(innermost enclosing def or class, raised name) for every raise."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.append((scope, getattr(exc, "id", getattr(exc, "attr", None))))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_check_size_is_the_only_raise_of_dimension_too_large():
+    raisers, defined = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined |= {node.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        raisers += [f"{path.stem}.{scope}" for scope, name in _raises(tree)
+                    if name == "DimensionTooLarge"]
+    assert raisers == ["errors.check_size"]
+    assert not defined & {"TooLarge", "NotClosed", "_check_algebra_dim",
+                          "check_series_order"}

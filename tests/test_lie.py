@@ -261,7 +261,8 @@ def test_algebra_json_size_limit_admits_every_command():
     # character takes a JSON algebra equal to a builtin with a representation
     assert MAX_PARSED_ALGEBRA_DIM >= builtin("sln_fundamental(4)")[0].dim
     dim = MAX_PARSED_ALGEBRA_DIM
-    with pytest.raises(DimensionTooLarge, match=f"exceeds {dim}"):
+    with pytest.raises(DimensionTooLarge, match=re.escape(
+            f"algebra dimension {dim + 1} exceeds the limit {dim}") + "$"):
         algebra_from_json(json.dumps({"dim": dim + 1}))
 
 
@@ -292,24 +293,26 @@ def _refusal_under_memory_cap(call: str) -> str:
 def test_huge_algebra_json_refused_before_allocating():
     assert _refusal_under_memory_cap(
         "algebra_from_json(json.dumps({'dim': 100000}))") == (
-        f"algebra dimension 100000 exceeds {MAX_PARSED_ALGEBRA_DIM}")
+        f"algebra dimension 100000 exceeds the limit {MAX_PARSED_ALGEBRA_DIM}")
 
 
 def test_huge_builtin_refused_before_allocating():
     assert _refusal_under_memory_cap("builtin('abelian(100000)')") == (
-        f"algebra dimension 100000 exceeds {MAX_PARSED_ALGEBRA_DIM}")
+        f"algebra dimension 100000 exceeds the limit {MAX_PARSED_ALGEBRA_DIM}")
 
 
 @pytest.mark.parametrize("name, message", [
-    ("abelian(16)", f"algebra dimension 16 exceeds {MAX_PARSED_ALGEBRA_DIM}"),
+    ("abelian(16)",
+     f"algebra dimension 16 exceeds the limit {MAX_PARSED_ALGEBRA_DIM}"),
     ("sln_fundamental(5)",
-     f"algebra dimension 24 exceeds {MAX_PARSED_ALGEBRA_DIM}"),
-    ("sl2_irrep(1024)", f"carrier dimension 1025 exceeds {MAX_IRREP_DIM}"),
+     f"algebra dimension 24 exceeds the limit {MAX_PARSED_ALGEBRA_DIM}"),
+    ("sl2_irrep(1024)",
+     f"sl2_irrep carrier dimension 1025 exceeds the limit {MAX_IRREP_DIM}"),
 ])
 def test_builtin_size_guard_refuses_before_building(name, message):
     # Without the guard these take seconds to build (sln_fundamental(5)
     # about 12 s) before a command refuses them.
-    with pytest.raises(DimensionTooLarge, match=re.escape(message)):
+    with pytest.raises(DimensionTooLarge, match=re.escape(message) + "$"):
         builtin(name)
 
 

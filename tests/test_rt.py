@@ -22,7 +22,7 @@ from rtfactor.diagram import (
     pd_from_sliced,
     writhe,
 )
-from rtfactor.errors import ArityMismatch, NonInvertibleNormalizer, NotClosed
+from rtfactor.errors import ArityMismatch, NonInvertibleNormalizer, OpenTangle
 from rtfactor.kauffman import jones_polynomial, kauffman_bracket
 from rtfactor.quantum_group import (
     lmat_identity,
@@ -321,7 +321,7 @@ def test_noninvertible_normalizer_rejected():
 
 def test_open_tangle_rejected_by_framed_invariant():
     open_tangle = make_sliced_tangle(1, [(ID, 0)])
-    with pytest.raises(NotClosed):
+    with pytest.raises(OpenTangle):
         framed_invariant(open_tangle, sln_fundamental_ribbon(2))
 
 

@@ -13,7 +13,6 @@ from rtfactor.errors import (
     OpenGraph,
     ParseError,
     SingularPairing,
-    TooLarge,
 )
 from rtfactor.lie import (
     InvariantPairing,
@@ -278,7 +277,7 @@ def test_symmetry_factor_size_guard():
     graphs = theta_graph()
     for _ in range(4):
         graphs = disjoint_union(graphs, theta_graph())
-    with pytest.raises(TooLarge):
+    with pytest.raises(DimensionTooLarge):
         symmetry_factor(graphs)
 
 
