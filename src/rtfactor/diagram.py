@@ -11,14 +11,15 @@ Three layers:
 
 The trace closure of a braid puts the braid strands at positions 0..s-1 and
 their return strands at 2s-1..s, nested, so braid generator i acts at
-position i-1.  Extra framing is represented by Markov stabilizations, which
-append one kink per unit of framing.
+position i-1.  A strand is open only while letters use it, and each kink of
+framing is a curl on the last strand: the closure is at most 2s + 2 wide.
 """
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     ArityMismatch,
@@ -26,6 +27,7 @@ from .errors import (
     OpenTangle,
     ParseError,
     UnknownName,
+    check_size,
 )
 
 ID = "id"
@@ -94,20 +96,6 @@ def permutation_cycles(perm) -> int:
     return count
 
 
-def stabilized(b: BraidWord, kinks: int) -> BraidWord:
-    """Markov-stabilize |kinks| times with the sign of `kinks`, adding one
-    Reidemeister-I curl per unit of framing to the closure."""
-    if kinks == 0:
-        return b
-    sign = 1 if kinks > 0 else -1
-    strands = b.strands
-    word = list(b.word)
-    for _ in range(abs(kinks)):
-        word.append(sign * strands)
-        strands += 1
-    return make_braid(strands, word)
-
-
 # ---------------------------------------------------------------------------
 # Sliced tangles
 # ---------------------------------------------------------------------------
@@ -147,13 +135,34 @@ def make_sliced_tangle(input_arity: int, slices) -> SlicedTangle:
     return SlicedTangle(input_arity, width, tuple((p, q) for p, q in slices))
 
 
-def braid_closure_sliced(b: BraidWord) -> SlicedTangle:
-    """Trace closure: s nested cups, the braid, s nested caps."""
-    s = b.strands
-    slices = [(CUP, p) for p in range(s)]
-    for letter in b.word:
-        slices.append((POS_CROSS if letter > 0 else NEG_CROSS, abs(letter) - 1))
-    slices.extend((CAP, p) for p in range(s - 1, -1, -1))
+def braid_closure_sliced(b: BraidWord, kinks: int = 0) -> SlicedTangle:
+    """Trace closure of ``b`` with |kinks| framing curls of the sign of kinks.
+
+    Strands no letter touches (generator i touches i-1 and i) are free
+    loops, first.  Strand j of the rest is cupped just before the first
+    letter touching a position >= j and capped right after the last.  Each
+    kink is a curl (CUP, p+1), (+-X, p), (CAP, p+1) on the last strand p
+    after the word, a letter on p.  Refuses, before building anything,
+    closures of m crossings and caps: the RT estimate is over 1 + ... + m."""
+    from .rt import MAX_SWEEP_COST  # rt imports this module
+    s, k, m = b.strands, abs(kinks), len(b.word) + b.strands + 2 * abs(kinks)
+    check_size(f"closure of B{s} with {len(b.word) + k} crossings, sweep "
+               "estimate at least", m * (m + 1) // 2, MAX_SWEEP_COST)
+    rank = {q: r for r, q in enumerate(sorted(set(
+        [q for x in b.word for q in (abs(x) - 1, abs(x))] + [s - 1] * (k > 0))))}
+    p = len(rank) - 1
+    curl = ((CUP, p + 1), (POS_CROSS if kinks > 0 else NEG_CROSS, p),
+            (CAP, p + 1))
+    letters = [(((POS_CROSS if x > 0 else NEG_CROSS, rank[abs(x) - 1]),),
+                rank[abs(x)]) for x in b.word] + [(curl, p)] * k
+    later = list(accumulate((top for _, top in reversed(letters)), max,
+                            initial=-1))[-2::-1]  # highest top still to come
+    slices, opened = [(CUP, 0), (CAP, 0)] * (s - len(rank)), 0
+    for (pieces, top), after in zip(letters, later):
+        slices += [(CUP, j) for j in range(opened, top + 1)] + list(pieces)
+        opened = max(opened, top + 1)
+        slices += [(CAP, j) for j in range(opened - 1, after, -1)]
+        opened = min(opened, after + 1)
     return make_sliced_tangle(0, slices)
 
 
@@ -273,11 +282,8 @@ class LinkSpec:
     braid: BraidWord
     framing_kinks: int = 0
 
-    def effective_braid(self) -> BraidWord:
-        return stabilized(self.braid, self.framing_kinks)
-
     def tangle(self) -> SlicedTangle:
-        return braid_closure_sliced(self.effective_braid())
+        return braid_closure_sliced(self.braid, self.framing_kinks)
 
 
 CATALOG: dict[str, LinkSpec] = {

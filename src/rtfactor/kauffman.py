@@ -50,7 +50,7 @@ def sweep_cost(pd: PDCode) -> tuple[int, int]:
     open_ends: set[int] = set()
     cost = peak = 0
     for k, (_, arcs) in enumerate(pd.crossings, 1):
-        open_ends.symmetric_difference_update(arcs)
+        open_ends ^= {arc for arc in arcs if arcs.count(arc) == 1}
         pairs = len(open_ends) // 2
         peak = max(peak, len(open_ends))
         cost += k * min(2 ** k, comb(2 * pairs, pairs) // (pairs + 1))

@@ -1,30 +1,30 @@
 """Tangle evaluation against a ribbon representation.
 
 Feeds a sliced diagram through the braiding, cup, and cap data of a
-RibbonRep one slice at a time, entirely over exact Laurent polynomials.
-Closed diagrams produce framed link invariants.  The module also houses
-the cross-check of those invariants against the skein-theoretic oracle
-and the formal expansion around h = 0 whose low-order coefficients are
+RibbonRep one slice at a time, entirely in exact arithmetic.  Closed
+diagrams produce framed link invariants.  The module also houses the
+cross-check of those invariants against the skein-theoretic oracle and
+the formal expansion around h = 0 whose low-order coefficients are
 finite-type invariants.
 
 The running state is sparse: a dict from (strand labels of the current
-slice, input column) to a nonzero coefficient.  Each piece acts through
-the nonzero entries of its local matrix only: a crossing sends the
-labels at its two positions through the braiding (or its inverse), a
-cup inserts each nonzero coevaluation pair and a cap contracts its pair
-against the evaluation; entries that cancel are dropped after every
-slice.  The braiding commutes with the Cartan
-action, so weight conservation keeps the support far below the n^width
-label tuples of a slice.  The dense matrix (rows indexed by output
-labels, position 0 the most significant digit) is built once, at the
-end.
+slice, input column) to a plain {exponent: nonzero coefficient} dict at
+one root order.  Each piece acts through the nonzero entries of its local
+matrix only: a crossing sends the labels at its two positions through the
+braiding (or its inverse), a cup inserts each nonzero coevaluation pair
+and a cap contracts its pair against the evaluation; entries that cancel
+are dropped after every slice.  LaurentPoly values and the dense matrix
+(rows indexed by output labels, position 0 the most significant digit)
+are built once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import comb, lcm
 
 from .diagram import (
     CAP,
@@ -37,7 +37,7 @@ from .diagram import (
     pd_from_sliced,
     writhe,
 )
-from .errors import ArityMismatch, NonInvertibleNormalizer, OpenTangle
+from .errors import ArityMismatch, NonInvertibleNormalizer, OpenTangle, check_size
 from .kauffman import kauffman_bracket
 from .quantum_group import (
     RibbonRep,
@@ -47,8 +47,8 @@ from .quantum_group import (
 )
 from .ring import HSeries, LaurentPoly, laurent_to_hseries, series_inverse
 
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
+# At most about 0.7 microseconds per unit: at the limit a sweep takes 1-7 s.
+MAX_SWEEP_COST = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -61,19 +61,42 @@ class TangleValue:
     matrix: tuple  # n^output_arity rows, n^input_arity columns
 
 
-def _local_moves(matrix, n, arity_in, arity_out):
+@lru_cache(maxsize=None)
+def _balanced(width: int, n: int) -> int:
+    """Label tuples of length ``width`` with each a as often as n-1-a."""
+    return int(width % 2 == 0 and (n == 1 or width == 0)) if n < 2 else sum(
+        comb(width, 2 * k) * comb(2 * k, k) * _balanced(width - 2 * k, n - 2)
+        for k in range(width // 2 + 1))
+
+
+def sweep_cost(t: SlicedTangle, n: int) -> tuple[int, int]:
+    """Estimated sweep work from the slice widths alone, and the peak width:
+    cups pair labels and crossings permute them, so only balanced tuples on
+    a slice and its inputs are reached, each entry gaining about n - 1
+    terms per crossing or cap."""
+    width = peak = t.input_arity
+    cost, terms = 0, 1
+    for piece, _ in t.slices:
+        width += {CUP: 2, CAP: -2}.get(piece, 0)
+        peak = max(peak, width)
+        terms += max(n - 1, 1) * (piece in (POS_CROSS, NEG_CROSS, CAP))
+        cost += _balanced(t.input_arity + width, n) * terms
+    return cost, peak
+
+
+def _local_moves(matrix, n, arity_in, arity_out, order):
     """Nonzero entries of a local piece, grouped by input labels.
 
     ``matrix`` has n^arity_out rows and n^arity_in columns, both indexed
     with the first strand as the most significant digit.  The result maps
-    each input label tuple to its (output label tuple, coefficient) pairs.
-    """
+    input labels to (output labels, [(exponent at order, coefficient)])."""
     inputs = list(product(range(n), repeat=arity_in))
     moves = {labels: [] for labels in inputs}
     for out, row in zip(product(range(n), repeat=arity_out), matrix):
         for labels, c in zip(inputs, row):
             if c:
-                moves[labels].append((out, c))
+                terms = [(e * (order // c.root_order), k) for e, k in c.terms]
+                moves[labels].append((out, terms))
     return moves
 
 
@@ -82,22 +105,30 @@ def evaluate_sliced_tangle(t: SlicedTangle, rep: RibbonRep) -> TangleValue:
 
     Positive crossings apply the stored braiding, negative crossings its
     inverse, cups and caps apply the coevaluation and evaluation data of
-    the representation.  Raises ArityMismatch when a slice position does
-    not fit the running width.
+    the representation.  Raises DimensionTooLarge before any arithmetic
+    (see ``sweep_cost``) and ArityMismatch when a slice position does not
+    fit the running width.
     """
     n = rep.n
+    cost, peak = sweep_cost(t, n)
+    check_size(f"RT sweep of {len(t.slices)} slices, peak width {peak}, "
+               "estimate", cost, MAX_SWEEP_COST)
+    order = lcm(*(c.root_order for m in (rep.R, rep.R_inv, rep.cup, rep.cap)
+                  for row in m for c in row if c))
     # piece -> (strands consumed, strands produced, local moves)
     pieces = {
-        ID: (1, 1, None),
-        POS_CROSS: (2, 2, _local_moves(rep.R, n, 2, 2)),
-        NEG_CROSS: (2, 2, _local_moves(rep.R_inv, n, 2, 2)),
-        CUP: (0, 2, _local_moves([(c,) for row in rep.cup for c in row], n, 0, 2)),
-        CAP: (2, 0, _local_moves([[c for row in rep.cap for c in row]], n, 2, 0)),
+        ID: (1, 1, {(a,): [((a,), [(0, 1)])] for a in range(n)}),
+        POS_CROSS: (2, 2, _local_moves(rep.R, n, 2, 2, order)),
+        NEG_CROSS: (2, 2, _local_moves(rep.R_inv, n, 2, 2, order)),
+        CUP: (0, 2, _local_moves([(c,) for row in rep.cup for c in row],
+                                 n, 0, 2, order)),
+        CAP: (2, 0, _local_moves([[c for row in rep.cap for c in row]],
+                                 n, 2, 0, order)),
     }
     width = t.input_arity
-    # (strand labels of the current slice, input column) -> coefficient;
-    # only nonzero entries are kept.
-    state = {(labels, col): ONE for col, labels
+    # (strand labels of the current slice, input column) -> {exponent of
+    # q^(1/order): coefficient}; only nonzero entries are kept.
+    state = {(labels, col): {0: 1} for col, labels
              in enumerate(product(range(n), repeat=width))}
     for piece, pos in t.slices:
         if piece not in pieces:
@@ -105,23 +136,21 @@ def evaluate_sliced_tangle(t: SlicedTangle, rep: RibbonRep) -> TangleValue:
         span, produced, moves = pieces[piece]
         if not 0 <= pos <= width - span:
             raise ArityMismatch(f"{piece} at {pos}, width {width}")
-        if moves is None:
-            continue
         new = {}
-        for (labels, col), v in state.items():
-            for out, c in moves[labels[pos:pos + span]]:
-                key = (labels[:pos] + out + labels[pos + span:], col)
-                old = new.get(key)
-                new[key] = c * v if old is None else old + c * v
-        state = {key: v for key, v in new.items() if v}
+        for (labels, col), poly in state.items():
+            head, tail = labels[:pos], labels[pos + span:]
+            for out, terms in moves[labels[pos:pos + span]]:
+                acc = new.setdefault((head + out + tail, col), {})
+                for f, d in terms:
+                    for e, c in poly.items():
+                        acc[e + f] = acc.get(e + f, 0) + c * d
+        state = {key: kept for key, poly in new.items()
+                 if (kept := {e: c for e, c in poly.items() if c})}
         width += produced - span
-    rows = [[ZERO] * n ** t.input_arity for _ in range(n ** width)]
-    for (labels, col), v in state.items():
-        row = 0
-        for a in labels:
-            row = row * n + a
-        rows[row][col] = v
-    return TangleValue(t.input_arity, width, n, tuple(map(tuple, rows)))
+    return TangleValue(t.input_arity, width, n, tuple(
+        tuple(LaurentPoly.from_terms(order, state.get((out, col), {}))
+              for col in range(n ** t.input_arity))
+        for out in product(range(n), repeat=width)))
 
 
 def framed_invariant(link: SlicedTangle, rep: RibbonRep) -> LaurentPoly:
@@ -203,18 +232,13 @@ def compare_with_bracket(link: SlicedTangle,
     bracket = kauffman_bracket(pd, normalized=False)
     w = writhe(link)
     c = pd_components(pd)
-    minus_one = LaurentPoly.const(Fraction(-1))
     rules = []
     for name, quarter in _SUBSTITUTIONS:
         mapped = bracket.scale_exponents(quarter)
-        for alpha in (0, 1):
-            for beta in (0, 1):
-                for gamma in (0, 1):
-                    flip = (alpha * w + beta * c + gamma) % 2
-                    candidate = mapped * minus_one if flip else mapped
-                    if candidate == value:
-                        rules.append(BracketRule(name, alpha, beta,
-                                                 -1 if gamma else 1))
+        for alpha, beta, gamma in product((0, 1), repeat=3):
+            flip = (alpha * w + beta * c + gamma) % 2
+            if (-mapped if flip else mapped) == value:
+                rules.append(BracketRule(name, alpha, beta, -1 if gamma else 1))
     if rules:
         first = rules[0]
         return BracketComparison(True, first.substitution,

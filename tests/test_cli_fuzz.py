@@ -3,9 +3,11 @@
 Each example calls ``rtfactor.cli.main`` in-process.  Success and domain
 errors return 0 or 1; usage errors leave through argparse's SystemExit(2).
 Any other exception fails the test and names the command line, and so does
-exit 0 with an order above ``MAX_SERIES_ORDER`` or a built-in curve with
-more segment pairs than ``MAX_SEGMENT_PAIRS``.  Inputs stay small: braids
-of at most 4 strands and 8 letters (30 for ``bracket`` and ``jones``),
+exit 0 with an order above ``MAX_SERIES_ORDER``, a built-in curve with more
+segment pairs than ``MAX_SEGMENT_PAIRS``, a link of 10^6 or more framing
+kinks, or an ``invariant`` of a wide braid whose sweep estimate is above
+``rt.MAX_SWEEP_COST``.  Inputs stay small: braids of at most 4 strands and
+8 letters (30 for ``bracket`` and ``jones``) or a few fixed wide braids,
 orders up to 8 or above the limit, curve samples up to 128 or above the
 limit, small algebras, and ``verify`` only with malformed seeds.
 """
@@ -21,9 +23,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rtfactor import rt
 from rtfactor.cli import main
 from rtfactor.confint import MAX_SEGMENT_PAIRS
-from rtfactor.diagram import CATALOG, LINK_ALIASES
+from rtfactor.diagram import CATALOG, LINK_ALIASES, resolve_link
 from rtfactor.lie import algebra_to_json, builtin
 from rtfactor.ring import MAX_SERIES_ORDER
 from rtfactor.weights import (fermion_wheel, generate_trivalent_family,
@@ -70,14 +73,33 @@ def _link_json(draw):
                                    max_size=8))}
     payload = {"braid": braid}
     if draw(st.booleans()):
-        payload["framing_kinks"] = draw(st.one_of(st.integers(-3, 3), scalars))
+        payload["framing_kinks"] = draw(st.one_of(
+            st.integers(-3, 3), st.sampled_from(HUGE_KINKS), scalars))
     return json.dumps(payload)
+
+
+# Refused before any closure is built: the least sweep estimate of k kinks
+# is about 2k^2.
+HUGE_KINKS = [10 ** 6, -10 ** 6, 10 ** 12]
+HUGE_KINK_LINKS = [json.dumps({"braid": {"strands": strands, "word": word},
+                               "framing_kinks": kinks})
+                   for strands, word in ((1, []), (2, [1, 1, 1]))
+                   for kinks in HUGE_KINKS]
+# Up to 18 strands wide; some are above the sweep limit at sl3 or sl4.
+WIDE_BRAIDS = ["B9:1,2,3,4,5,6,7,8,-1,-2,-3,-4,-5,-6,-7,-8",
+               "B8:1,2,3,4,5,6,7", "B6:1,2,3,4,5", "B5:1,2,3,4,1,2,3,4",
+               "B12:11"]
+WIDE_REFUSED = {(braid, f"sl{n}") for braid in WIDE_BRAIDS for n in (2, 3, 4)
+                if rt.sweep_cost(resolve_link(braid).tangle(), n)[0]
+                > rt.MAX_SWEEP_COST}
 
 
 def _links(max_letters):
     named = st.sampled_from(sorted(CATALOG) + sorted(LINK_ALIASES))
-    return _mostly(st.one_of(named, _braid(max_letters)),
-                   st.one_of(_link_json(), _GARBAGE))
+    return _mostly(
+        st.one_of(named, _braid(max_letters), st.sampled_from(WIDE_BRAIDS),
+                  st.sampled_from(HUGE_KINK_LINKS)),
+        st.one_of(_link_json(), _GARBAGE))
 
 
 LINKS = _links(8)
@@ -192,7 +214,7 @@ POLYS = st.one_of(
 ARGV = {
     "invariant": _argv(
         st.just(["invariant"]), _required("--link", LINKS),
-        _required("--algebra", st.sampled_from(["sl2", "sl3", "sl5"])),
+        _required("--algebra", st.sampled_from(["sl2", "sl3", "sl4", "sl5"])),
         st.sampled_from([["--framed"], ["--framed"], ["--jones"], [],
                          ["--framed", "--jones"]]),
         _flag("--expand", ORDERS), _switch("--normalize"), _FORMAT),
@@ -261,7 +283,19 @@ def _run(argv) -> int:
     return code
 
 
+def _huge_kinks(link) -> bool:
+    try:
+        kinks = json.loads(link).get("framing_kinks")
+    except (ValueError, AttributeError):
+        return False
+    return isinstance(kinks, int) and abs(kinks) >= 10 ** 6
+
+
 def _over_limit(argv) -> bool:
+    flags = dict(zip(argv, argv[1:]))
+    link = flags.get("--link", "")
+    if _huge_kinks(link) or (link, flags.get("--algebra")) in WIDE_REFUSED:
+        return True
     limits = {"--order": MAX_SERIES_ORDER, "--expand": MAX_SERIES_ORDER}
     if set(argv) & set(BUILT_IN_CURVES):
         limits["--samples"] = SAMPLE_LIMIT

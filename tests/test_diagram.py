@@ -7,6 +7,7 @@ from rtfactor.diagram import (
     CAP,
     CATALOG,
     CUP,
+    LinkSpec,
     NEG_CROSS,
     POS_CROSS,
     BraidWord,
@@ -21,7 +22,6 @@ from rtfactor.diagram import (
     pd_from_sliced,
     permutation_cycles,
     resolve_link,
-    stabilized,
     writhe,
 )
 from rtfactor.errors import (
@@ -113,14 +113,13 @@ def test_mirror_negates_writhe():
 
 
 def test_stabilization_adds_kinks():
+    # A framing curl adds to the writhe what a Markov stabilization adds.
     b = make_braid(1, ())
-    up = stabilized(b, 2)
-    assert up == BraidWord(3, (1, 2))
-    down = stabilized(b, -1)
-    assert down == BraidWord(2, (-1,))
-    assert writhe(braid_closure_sliced(up)) == 2
-    assert writhe(braid_closure_sliced(down)) == -1
-    assert stabilized(b, 0) is b
+    up = LinkSpec(b, 2).tangle()
+    down = LinkSpec(b, -1).tangle()
+    assert writhe(up) == writhe(braid_closure_sliced(make_braid(3, (1, 2)))) == 2
+    assert writhe(down) == writhe(braid_closure_sliced(make_braid(2, (-1,)))) == -1
+    assert LinkSpec(b, 0).tangle() == braid_closure_sliced(b)
 
 
 def test_pd_trefoil():

@@ -8,16 +8,21 @@ A lint test keeps ``check_size`` the only place the exception is raised.
 
 import ast
 from fractions import Fraction
+from itertools import count
 from math import isqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rtfactor import ce, cli, clifford, confint, kauffman, lie, ring, weights
-from rtfactor.diagram import braid_closure_sliced, make_braid, pd_from_sliced
+from rtfactor import (ce, cli, clifford, confint, diagram, kauffman, lie, ring,
+                      rt, weights)
+from rtfactor.diagram import (LinkSpec, braid_closure_sliced, make_braid,
+                              pd_from_sliced)
 from rtfactor.errors import DimensionTooLarge
 from rtfactor.lie import InvariantPairing, Representation, builtin
+from rtfactor.quantum_group import (quantum_dimension, ribbon_twist,
+                                    sln_fundamental_ribbon)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rtfactor"
 
@@ -67,6 +72,24 @@ def _two_strand_twist(crossings):
     return pd_from_sliced(braid_closure_sliced(make_braid(2, [1] * crossings)))
 
 
+def _kinked_unknot(kinks):
+    return LinkSpec(make_braid(1, ()), kinks).tangle()
+
+
+def _kinked_unknot_cost(kinks):
+    """rt.sweep_cost of the kinked unknot at sl2.  The opening cup costs 2;
+    curl i costs 6 (2i - 1) + 6 (2i) + 2 (2i + 1) for its cup, crossing and
+    cap; the closing cap 2k + 2.  In all 14k^2 + 12k + 4."""
+    return 14 * kinks ** 2 + 12 * kinks + 4
+
+
+def _closure_bound(strands, letters, kinks):
+    """1 + 2 + ... + m over the m crossings and caps of a closure: less
+    than its RT estimate, and what its builder checks."""
+    m = letters + strands + 2 * kinks
+    return m * (m + 1) // 2
+
+
 def _invariant(order):
     args = cli._build_parser().parse_args(
         ["invariant", "--link", "trefoil", "--algebra", "sl3", "--framed",
@@ -76,6 +99,9 @@ def _invariant(order):
 
 _PAIRS = confint.MAX_SEGMENT_PAIRS
 _SWEEP = isqrt(kauffman.MAX_SWEEP_COST) + 1  # sigma_1^c costs c^2
+_RT = rt.MAX_SWEEP_COST
+# the most kinks an sl2 unknot sweep admits
+_KINKS = next(k for k in count() if _kinked_unknot_cost(k + 1) > _RT)
 
 # id: (refused call, (what, size, limit), costly step (module, attribute))
 GUARDS = {
@@ -117,6 +143,17 @@ GUARDS = {
         lambda: clifford.hh0_dimension(clifford.MAX_HH_DIM + 1),
         ("generator count", clifford.MAX_HH_DIM + 1, clifford.MAX_HH_DIM),
         (clifford, "CliffordElement")),
+    "rt-sweep": (
+        lambda: rt.framed_invariant(_kinked_unknot(_KINKS + 1),
+                                    sln_fundamental_ribbon(2)),
+        (f"RT sweep of {3 * _KINKS + 5} slices, peak width 4, estimate",
+         _kinked_unknot_cost(_KINKS + 1), _RT),
+        (rt, "_local_moves")),
+    "closure-kinks": (
+        lambda: _kinked_unknot(10 ** 12),
+        (f"closure of B1 with {10 ** 12} crossings, sweep estimate at least",
+         _closure_bound(1, 0, 10 ** 12), _RT),
+        (diagram, "make_sliced_tangle")),
     "kauffman-sweep": (
         lambda: kauffman.kauffman_bracket(_two_strand_twist(_SWEEP)),
         (f"bracket sweep of {_SWEEP} crossings, peak 4 open ends, estimate",
@@ -203,6 +240,11 @@ ADMITTED = {
     "confint-builder": (
         lambda: [len(c.points) for c in confint.hopf_pair(isqrt(_PAIRS))],
         [2048, 2048]),
+    "rt-sweep": (  # at the limit; the slowest admitted sweeps take seconds
+        lambda: rt.framed_invariant(_kinked_unknot(_KINKS),
+                                    sln_fundamental_ribbon(2)),
+        quantum_dimension(sln_fundamental_ribbon(2))
+        * ribbon_twist(sln_fundamental_ribbon(2)) ** _KINKS),
 }
 
 
@@ -241,12 +283,43 @@ CLI_REFUSALS = [
 ]
 
 
-@pytest.mark.parametrize("argv, message", CLI_REFUSALS,
-                         ids=[argv[0] for argv, _ in CLI_REFUSALS])
-def test_cli_refusal_exits_1_with_the_uniform_message(capsys, argv, message):
+_WIDE = "B9:1,2,3,4,5,6,7,8,-1,-2,-3,-4,-5,-6,-7,-8"
+_HUGE_KINKS = '{"braid": {"strands": 1, "word": []}, "framing_kinks": %d}' % (
+    10 ** 12)
+_HUGE_CLOSURE = _message(
+    f"closure of B1 with {10 ** 12} crossings, sweep estimate at least",
+    _closure_bound(1, 0, 10 ** 12), _RT)
+# The RT sweep and closure guards, one above the limit: (id, argv, message)
+LINK_REFUSALS = [
+    ("invariant-sweep",
+     ["invariant", "--link", _WIDE, "--algebra", "sl4", "--framed"],
+     _message("RT sweep of 34 slices, peak width 18, estimate",
+              rt.sweep_cost(diagram.resolve_link(_WIDE).tangle(), 4)[0], _RT)),
+    ("invariant-kinks",
+     ["invariant", "--link", _HUGE_KINKS, "--algebra", "sl2", "--framed"],
+     _HUGE_CLOSURE),
+    ("bracket-kinks", ["bracket", "--link", _HUGE_KINKS], _HUGE_CLOSURE),
+    ("jones-kinks", ["jones", "--link", _HUGE_KINKS], _HUGE_CLOSURE),
+]
+
+
+def _assert_exits_1_with(capsys, argv, message):
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", CLI_REFUSALS,
+                         ids=[argv[0] for argv, _ in CLI_REFUSALS])
+def test_cli_refusal_exits_1_with_the_uniform_message(capsys, argv, message):
+    _assert_exits_1_with(capsys, argv, message)
+
+
+@pytest.mark.parametrize("argv, message",
+                         [(argv, message) for _, argv, message in LINK_REFUSALS],
+                         ids=[name for name, _, _ in LINK_REFUSALS])
+def test_link_refusal_exits_1_with_the_uniform_message(capsys, argv, message):
+    _assert_exits_1_with(capsys, argv, message)
 
 
 def _raises(tree):

@@ -147,10 +147,9 @@ def test_jones_unaffected_by_reidemeister_one():
 def test_kink_multiplicativity_across_catalog():
     kink = LaurentPoly.q_power(3, 1, -1)
     for name, spec in CATALOG.items():
-        base = spec.effective_braid()
-        stabbed = make_braid(base.strands + 1, list(base.word) + [base.strands])
-        braided = kauffman_bracket(pd_from_sliced(braid_closure_sliced(base)))
-        kinked = kauffman_bracket(pd_from_sliced(braid_closure_sliced(stabbed)))
+        one_more = LinkSpec(spec.braid, spec.framing_kinks + 1)
+        braided = kauffman_bracket(pd_from_sliced(spec.tangle()))
+        kinked = kauffman_bracket(pd_from_sliced(one_more.tangle()))
         assert kinked == braided * kink, name
 
 
@@ -229,6 +228,16 @@ def test_largest_admitted_sweep_finishes_and_next_is_refused(monkeypatch):
         kauffman_bracket(_two_strand_twist(largest + 1))
     assert str(MAX_SWEEP_COST) in str(exc.value)
     assert str((largest + 1) ** 2) in str(exc.value)
+
+
+def test_curl_loop_arc_closes_at_its_crossing():
+    # The curl's loop arc is listed twice at its one crossing: it opens and
+    # closes there, so no end stays open.
+    pd = _pd("unknot_pos_kink")[0]
+    assert [arcs for _, arcs in pd.crossings] == [(1, 2, 1, 2)]
+    assert sweep_cost(pd) == (1, 0)
+    kinked = pd_from_sliced(LinkSpec(make_braid(2, [1, 1, 1]), 3).tangle())
+    assert sweep_cost(kinked)[1] == 4
 
 
 def test_sweep_cost_follows_open_ends_not_crossings():

@@ -3,9 +3,11 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from rtfactor import kauffman, rt
 from rtfactor.diagram import (
     CAP,
     CUP,
@@ -19,6 +21,7 @@ from rtfactor.diagram import (
     make_braid,
     make_sliced_tangle,
     parse_braid,
+    pd_components,
     pd_from_sliced,
     writhe,
 )
@@ -29,6 +32,7 @@ from rtfactor.quantum_group import (
     lmat_kron,
     lmat_mul,
     lmat_scale,
+    make_ribbon_rep,
     quantum_dimension,
     ribbon_twist,
     sln_fundamental_ribbon,
@@ -40,6 +44,7 @@ from rtfactor.rt import (
     hbar_expand_invariant,
     jones_from_quantum,
     normalized_invariant,
+    sweep_cost,
     writhe_corrected_invariant,
 )
 from rtfactor.ring import HSeries, LaurentPoly, parse_laurent
@@ -75,6 +80,35 @@ def _kron_oracle(t, rep):
         value = lmat_mul(_slice_matrix(piece, pos, width, rep), value)
         width += {CUP: 2, CAP: -2}.get(piece, 0)
     return value
+
+
+# -- independent oracle: the nested closure of the Markov-stabilized braid ----
+
+def _stabilized_closure(spec):
+    """Every strand cupped first and capped last, nested, and each framing
+    kink a Markov stabilization onto a new last strand."""
+    strands, word = spec.braid.strands, list(spec.braid.word)
+    sign = 1 if spec.framing_kinks > 0 else -1
+    for _ in range(abs(spec.framing_kinks)):
+        word.append(sign * strands)
+        strands += 1
+    slices = [(CUP, p) for p in range(strands)]
+    slices += [(POS_CROSS if x > 0 else NEG_CROSS, abs(x) - 1) for x in word]
+    slices += [(CAP, p) for p in range(strands - 1, -1, -1)]
+    return make_sliced_tangle(0, slices)
+
+
+def _seeded_links(seed, count):
+    """Braids of at most 5 strands and 8 letters with -4..4 framing kinks."""
+    rng = random.Random(seed)
+    links = []
+    for _ in range(count):
+        strands = rng.randint(1, 5)
+        letters = rng.randint(0, 8) if strands > 1 else 0
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(letters)]
+        links.append(LinkSpec(make_braid(strands, word), rng.randint(-4, 4)))
+    return links
 
 
 def _random_tangle(rng, input_arity, max_width, closed):
@@ -124,6 +158,32 @@ def test_random_tangles_match_kron_oracle(n):
         expected = _kron_oracle(t, rep)
         assert value.output_arity == t.output_arity
         assert value.matrix == expected, t.slices
+
+
+def _rescaled_rep(n):
+    """The builtin data with cup times 3/2 and cap times 2/3: still a valid
+    ribbon representation, now with non-integral coefficients."""
+    rep = sln_fundamental_ribbon(n)
+    return make_ribbon_rep(
+        n, rep.root_order, rep.R, rep.R_inv,
+        lmat_scale(rep.cup, LaurentPoly.const(Fraction(3, 2))),
+        lmat_scale(rep.cap, LaurentPoly.const(Fraction(2, 3))), rep.twist)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_non_integral_rep_matches_builtin_and_kron_oracle(n):
+    rep, builtin = _rescaled_rep(n), sln_fundamental_ribbon(n)
+    assert Fraction(3, 2) in {c for row in rep.cup for p in row
+                              for _, c in p.terms}
+    for spec in list(CATALOG.values()) + _seeded_links(12, 10):
+        tangle = spec.tangle()
+        assert (framed_invariant(tangle, rep)
+                == framed_invariant(tangle, builtin)), spec
+    rng = random.Random(77 + n)
+    for _ in range(20):
+        t = _random_tangle(rng, rng.randint(0, 2), 4, False)
+        assert evaluate_sliced_tangle(t, rep).matrix == _kron_oracle(t, rep), \
+            t.slices
 
 
 def test_identity_strand_gives_identity_matrix():
@@ -181,14 +241,62 @@ def test_inserting_crossing_pair_changes_nothing():
     rep = sln_fundamental_ribbon(2)
     for name, spec in CATALOG.items():
         base = spec.tangle()
-        strands = spec.effective_braid().strands
-        if strands < 2:
-            continue
-        cut = strands  # right after the opening cups
+        # right after the opening cups, at least two strands wide
+        cut = next(i for i, (piece, _) in enumerate(base.slices)
+                   if piece != CUP)
         padded = SlicedTangle(0, 0, base.slices[:cut]
                               + ((POS_CROSS, 0), (NEG_CROSS, 0))
                               + base.slices[cut:])
         assert framed_invariant(padded, rep) == framed_invariant(base, rep), name
+
+
+# Carriers compared against the oracle up to this many oracle strands,
+# braid strands plus kinks; the oracle closure is twice as wide.
+_ORACLE_STRANDS = {2: 9, 3: 7, 4: 5}
+
+
+def test_closure_matches_stabilized_oracle(monkeypatch):
+    monkeypatch.setattr(rt, "MAX_SWEEP_COST", 10 ** 12)  # wide oracle closures
+    for spec in list(CATALOG.values()) + _seeded_links(9, 60):
+        new, old = spec.tangle(), _stabilized_closure(spec)
+        what = (spec.braid, spec.framing_kinks)
+        assert writhe(new) == writhe(old), what
+        new_pd, old_pd = pd_from_sliced(new), pd_from_sliced(old)
+        assert pd_components(new_pd) == pd_components(old_pd), what
+        assert kauffman_bracket(new_pd) == kauffman_bracket(old_pd), what
+        for n, most in _ORACLE_STRANDS.items():
+            if spec.braid.strands + abs(spec.framing_kinks) <= most:
+                rep = sln_fundamental_ribbon(n)
+                assert (framed_invariant(new, rep)
+                        == framed_invariant(old, rep)), (what, n)
+
+
+def test_closure_width_ignores_kinks():
+    for kinks in (1, -1, 2, -7, 50, -300):
+        tangle = LinkSpec(make_braid(1, ()), kinks).tangle()
+        assert sweep_cost(tangle, 2)[1] == 4, kinks
+    for spec in _seeded_links(10, 200):
+        peak = sweep_cost(spec.tangle(), 2)[1]
+        assert peak <= 2 * spec.braid.strands + 2, spec
+
+
+def _set_toggle_estimate(pd):
+    """The bracket estimate as it was: one set toggle per crossing, which
+    leaves a curl's loop arc open for the rest of the sweep."""
+    open_ends, cost = set(), 0
+    for k, (_, arcs) in enumerate(pd.crossings, 1):
+        open_ends.symmetric_difference_update(arcs)
+        pairs = len(open_ends) // 2
+        cost += k * min(2 ** k, comb(2 * pairs, pairs) // (pairs + 1))
+    return cost
+
+
+def test_kinked_closure_never_raises_the_bracket_estimate():
+    for spec in _seeded_links(11, 400):
+        if spec.framing_kinks:
+            new = kauffman.sweep_cost(pd_from_sliced(spec.tangle()))[0]
+            old = _set_toggle_estimate(pd_from_sliced(_stabilized_closure(spec)))
+            assert new <= old, spec
 
 
 def test_hopf_and_trefoil_match_mapped_bracket():
