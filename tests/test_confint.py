@@ -107,6 +107,38 @@ def test_writhe_plus_twist_equals_frenet_self_linking():
     assert abs(lhs - rhs) < 0.05
 
 
+def _stacked_integrand(pts1, pts2):
+    """The Gauss integrand over all pairs at once, from stacked 3-vectors."""
+    ahead1, ahead2 = np.roll(pts1, -1, axis=0), np.roll(pts2, -1, axis=0)
+    sep = 0.5 * (pts1 + ahead1)[:, None, :] - 0.5 * (pts2 + ahead2)[None, :, :]
+    cross = np.cross((ahead1 - pts1)[:, None, :], (ahead2 - pts2)[None, :, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.einsum("ijk,ijk->ij", sep, cross)
+                / np.linalg.norm(sep, axis=2) ** 3)
+
+
+@pytest.mark.parametrize("samples", [8, 31, 32, 33, 100])
+def test_blocked_integrals_equal_the_stacked_form_bit_for_bit(samples):
+    # Row counts below, at and across the block size.  Compared by repr, to
+    # the sign of zero: rendered answers of integrals that vanish (about
+    # 1e-20 for the untwisted circle) keep their rounding noise.
+    rng = np.random.default_rng(samples)
+    wild = rng.normal(size=(samples + 5, 3)) * 40.0 + 3.0
+    flat = twisted_circle(samples, 0)
+    pairs = [tuple(c.points for c in hopf_pair(samples)),
+             (wild, rng.normal(size=(samples, 3))),
+             (flat.points, flat.points + 0.1 * flat.framing)]
+    for p1, p2 in pairs:
+        want = float(_stacked_integrand(p1, p2).sum()) / (4.0 * math.pi)
+        got = gauss_linking(make_param_curve(p1), make_param_curve(p2))
+        assert repr(got) == repr(want)
+    for pts in (torus_knot(samples).points, unit_circle(samples).points, wild):
+        stacked = _stacked_integrand(pts, pts)
+        np.fill_diagonal(stacked, 0.0)
+        want = float(stacked.sum()) / (4.0 * math.pi)
+        assert repr(writhe_integral(make_param_curve(pts))) == repr(want)
+
+
 def test_twist_of_planar_circle_framings():
     # Parallel transport around a planar circle is trivial, so the twist
     # is exactly the framing's turn count.
