@@ -3,16 +3,18 @@
 * ``mat_mul``: matrix product, skipping zero entries.
 * ``linear_combination``: the sum of c_a M_a over paired coefficients and
   matrices.
+* ``sparse_rows`` and ``row_mul_add``: matrices as lists of sparse
+  {column: value} rows, and a sparse row times such a matrix.
 * ``exact_rank``: rank over the rationals, by sparse fraction-free
   elimination over the integers.
 * ``mat_inv``: inverse of a square matrix over the rationals.
 
-Matrices are lists-of-lists over an exact ring (Fraction, or any type with
-+, -, * and a truthy zero test); ``mat_mul`` takes the ring's zero as an
-argument.  ``exact_rank`` takes Fraction/int rows: its inputs, the
-Chevalley-Eilenberg differentials, have thousands of mostly zero rows with
-small integer entries, so it eliminates over the nonzero integer entries
-only.  ``mat_inv`` serves small matrices and stays plain Gauss-Jordan.
+Dense matrices are lists-of-lists over an exact ring (Fraction, or any type
+with +, -, * and a truthy zero test); ``mat_mul`` takes the ring's zero as
+an argument.  Sparse rows keep integral values as ints, several times
+cheaper than Fractions.  ``exact_rank`` takes sparse or dense rows: its
+inputs, the Chevalley-Eilenberg differentials, have thousands of rows with
+a few small integer entries each.  ``mat_inv`` stays plain Gauss-Jordan.
 """
 from __future__ import annotations
 
@@ -53,23 +55,40 @@ def linear_combination(coeffs, mats):
     return out
 
 
+def sparse_rows(m) -> list[dict]:
+    """The rows of a dense matrix as {column: value} over its nonzeros."""
+    return [{j: x.numerator if (x := row[j]).denominator == 1 else x
+             for j in compress(count(), row)} for row in m]
+
+
+def row_mul_add(acc: dict, row: dict, mat, scale=1) -> dict:
+    """acc += scale * (row . mat) for a sparse row and sparse rows mat;
+    returns acc, in which entries that cancel stay as zeros."""
+    for t, v in row.items():
+        v *= scale
+        for j, w in mat[t].items():
+            acc[j] = acc.get(j, 0) + v * w
+    return acc
+
+
 def exact_rank(rows) -> int:
     """Rank over the rationals by sparse fraction-free elimination over Z.
 
-    Takes any iterable of rows (lists or tuples) of Fractions/ints and does
-    not mutate them.  Rows become {column: int} dicts scaled by the lcm of
-    their denominators.
+    Takes any iterable of rows, each a {column: value} dict or a dense list
+    or tuple, of Fractions/ints, and does not mutate them.  Rows become
+    {column: int} dicts scaled by the lcm of their denominators.
     Each pivot is the least-|value| entry p of a shortest row; every other
     row holding f in that column becomes row*(p/g) - pivot_row*(f/g),
     g = gcd(p, f), divided by the gcd of its entries and dropped once empty.
     """
     work = []
     for row in rows:
-        cols = list(compress(count(), row))
-        if cols:
-            scale = lcm(*[row[c].denominator for c in cols])
-            work.append({c: row[c].numerator * (scale // row[c].denominator)
-                         for c in cols})
+        row = {c: v for c, v in
+               (row.items() if isinstance(row, dict) else enumerate(row)) if v}
+        if row:
+            scale = lcm(*[v.denominator for v in row.values()])
+            work.append({c: v.numerator * (scale // v.denominator)
+                         for c, v in row.items()})
     rank = 0
     while work:
         lengths = list(map(len, work))

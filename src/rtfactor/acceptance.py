@@ -200,7 +200,7 @@ def check_whitehead_vanishing(rng) -> tuple[bool, str]:
         _, rep = builtin(f"sl2_irrep({k})")
         modules.append((f"{k + 1}-dim", module_from_representation(g, rep)))
     for label, module in modules:
-        betti = cohomology_dims(ce_complex(g, module))
+        betti = cohomology_dims(ce_complex(g, module, degrees=(1, 2)))
         if betti[1] != 0 or betti[2] != 0:
             return False, f"{label}: H1={betti[1]}, H2={betti[2]}"
     return True, "H1 = H2 = 0 for all five sl2 modules of dimension <= 5"

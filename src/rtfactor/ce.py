@@ -6,8 +6,11 @@ parity splitting), with the differential
     (d phi)(x_0, ..., x_k) = sum_i (-1)^i x_i . phi(..., x_i dropped, ...)
                            + sum_{i<j} (-1)^{i+j} phi([x_i, x_j], ..., both dropped)
 
-d . d = 0 is asserted on every constructed complex, never assumed.  Betti
-numbers come from exact rank computations over the rationals.
+Each d_k: C^k -> C^{k+1} is a list of sparse {column: value} rows, values
+ints where integral, and is built only when an asked degree needs it (H^k
+needs d_{k-1} and d_k).  d . d = 0 is asserted by a sparse product on every
+pair of consecutive differentials built, never assumed.  Betti numbers come
+from exact rank computations over the rationals.
 
 Two deformation-complex front ends are provided: one for the bulk theory
 (trivial coefficients, degrees 3 and 4) and one for line defects built from a
@@ -18,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import comb
 
-from ._linalg import exact_rank, mat_mul
+# mat_mul is unused here but stays importable: perfbench/tracing.py wraps ce.mat_mul
+from ._linalg import exact_rank, mat_mul, row_mul_add, sparse_rows
 from .errors import check_size
 from .lie import LieAlgebra, Representation, check_bracket_compatible
 from .ring import rat
@@ -51,12 +55,12 @@ class SuperModule:
 def make_super_module(g: LieAlgebra, even_dim: int, odd_dim: int, action) -> SuperModule:
     """Validate block structure and bracket compatibility, then freeze."""
     n = even_dim + odd_dim
-    mats = [[[rat(x) for x in row] for row in m] for m in action]
+    mats = [[list(map(rat, row)) for row in m] for m in action]
     check_bracket_compatible(g, mats, n, "module action")
     for a, m in enumerate(mats):
-        for i in range(n):
-            for j in range(n):
-                if ((i < even_dim) != (j < even_dim)) and m[i][j]:
+        for i, row in enumerate(m):
+            for j in compress(count(), row):
+                if (i < even_dim) != (j < even_dim):
                     raise ValueError(
                         f"action matrix {a} mixes parities at entry ({i}, {j})")
     frozen = tuple(tuple(tuple(row) for row in m) for m in mats)
@@ -76,78 +80,75 @@ def module_from_representation(g: LieAlgebra, rep: Representation) -> SuperModul
 @dataclass(frozen=True)
 class CochainComplex:
     spaces: tuple          # dimensions n_0, ..., n_top
-    differentials: tuple   # matrices d_k: C^k -> C^{k+1}, shape n_{k+1} x n_k
+    differentials: tuple   # d_k: C^k -> C^{k+1} as n_{k+1} sparse rows; None if not built
 
 
-def ce_complex(g: LieAlgebra, module: SuperModule) -> CochainComplex:
-    """Build the full cochain complex; asserts d.d = 0 exactly."""
+def ce_complex(g: LieAlgebra, module: SuperModule, degrees=None) -> CochainComplex:
+    """Build the differentials that H^k for k in ``degrees`` needs (all when
+    None); asserts d.d = 0 exactly on each consecutive pair built."""
     d = g.dim
     check_size("algebra dimension", d, MAX_ALGEBRA_DIM)
     dim_m = module.dim
-    f = g.structure_constants
+    brackets = [sparse_rows(plane) for plane in g.structure_constants]
+    act = [sparse_rows(m) for m in module.action]
 
     subsets = [list(combinations(range(d), k)) for k in range(d + 1)]
     index = [{s: i for i, s in enumerate(level)} for level in subsets]
     spaces = tuple(comb(d, k) * dim_m for k in range(d + 1))
+    wanted = range(d) if degrees is None else {
+        j for k in degrees for j in (k - 1, k) if 0 <= j < d}
 
-    differentials = []
-    for k in range(d):
-        rows, cols = spaces[k + 1], spaces[k]
-        dk = [[Fraction(0)] * cols for _ in range(rows)]
+    differentials = [None] * d
+    for k in wanted:
+        dk = [{} for _ in range(spaces[k + 1])]
         for big in subsets[k + 1]:
             row_base = index[k + 1][big] * dim_m
             for i, ti in enumerate(big):
                 rest = big[:i] + big[i + 1:]
                 col_base = index[k][rest] * dim_m
                 sign = -1 if i % 2 else 1
-                act = module.action[ti]
-                for mp in range(dim_m):
-                    row = dk[row_base + mp]
-                    arow = act[mp]
-                    for m in range(dim_m):
-                        v = arow[m]
-                        if v:
-                            row[col_base + m] += sign * v
+                for row, arow in zip(dk[row_base:row_base + dim_m], act[ti]):
+                    for m, v in arow.items():
+                        col = col_base + m
+                        row[col] = row.get(col, 0) + sign * v
                 for j in range(i + 1, k + 1):
                     tj = big[j]
                     between = big[:i] + big[i + 1:j] + big[j + 1:]
                     pair_sign = -1 if (i + j) % 2 else 1
-                    for c in range(d):
-                        fc = f[ti][tj][c]
-                        if not fc or c in between:
+                    for c, fc in brackets[ti][tj].items():
+                        if c in between:
                             continue
                         pos = sum(1 for b in between if b < c)
                         small = tuple(sorted(between + (c,)))
-                        col_base2 = index[k][small] * dim_m
+                        col = index[k][small] * dim_m
                         coeff = pair_sign * fc * (1 if pos % 2 == 0 else -1)
-                        for m in range(dim_m):
-                            dk[row_base + m][col_base2 + m] += coeff
-        differentials.append(tuple(tuple(r) for r in dk))
+                        for row in dk[row_base:row_base + dim_m]:
+                            row[col] = row.get(col, 0) + coeff
+                            col += 1
+        differentials[k] = [{c: v for c, v in row.items() if v} for row in dk]
 
-    for k in range(d - 1):
-        square = mat_mul(differentials[k + 1], differentials[k])
-        assert all(not v for row in square for v in row), f"d.d != 0 at degree {k}"
+    for k, (lower, upper) in enumerate(zip(differentials, differentials[1:])):
+        if lower is not None and upper is not None:
+            for row in upper:
+                assert not any(row_mul_add({}, row, lower).values()), f"d.d != 0 at degree {k}"
     return CochainComplex(spaces, tuple(differentials))
 
 
-def cohomology_dims(c: CochainComplex) -> tuple[int, ...]:
-    """Betti numbers, one per cochain degree."""
-    ranks = [exact_rank(dk) for dk in c.differentials]
-    out = []
-    for k, n_k in enumerate(c.spaces):
-        r_out = ranks[k] if k < len(ranks) else 0
-        r_in = ranks[k - 1] if k >= 1 else 0
-        out.append(n_k - r_out - r_in)
-    return tuple(out)
+def cohomology_dims(c: CochainComplex) -> tuple:
+    """Betti numbers, one per cochain degree; None for a degree whose
+    differentials were not built."""
+    # ranks[k] = rank d_{k-1}, with zeros below degree 0 and above the top
+    ranks = [0] + [None if dk is None else exact_rank(dk)
+                   for dk in c.differentials] + [0]
+    return tuple(None if None in (r_in, r_out) else n_k - r_in - r_out
+                 for n_k, r_in, r_out in zip(c.spaces, ranks, ranks[1:]))
 
 
 def cs_deformation_cohomology(g: LieAlgebra) -> tuple[int, int]:
     """(dim H^3, dim H^4) with trivial coefficients: deformation and obstruction
     groups of the bulk theory."""
-    betti = cohomology_dims(ce_complex(g, trivial_module(g)))
-    h3 = betti[3] if len(betti) > 3 else 0
-    h4 = betti[4] if len(betti) > 4 else 0
-    return h3, h4
+    betti = cohomology_dims(ce_complex(g, trivial_module(g), degrees=(3, 4)))
+    return (betti + (0, 0, 0))[3:5]  # zero above the top degree
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +214,6 @@ def defect_deformation_cohomology(g: LieAlgebra, rho: Representation,
                                   boundary: bool = False) -> tuple[int, int]:
     """(dim H^1, dim H^2) of the cochain complex with defect coefficients:
     deformation and obstruction groups of the defect theory."""
-    betti = cohomology_dims(ce_complex(g, defect_module(g, rho, boundary)))
-    h1 = betti[1] if len(betti) > 1 else 0
-    h2 = betti[2] if len(betti) > 2 else 0
-    return h1, h2
+    betti = cohomology_dims(
+        ce_complex(g, defect_module(g, rho, boundary), degrees=(1, 2)))
+    return (betti + (0,))[1:3]  # zero above the top degree

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from ._linalg import exact_rank, linear_combination, mat_mul
+from ._linalg import exact_rank, mat_mul, row_mul_add, sparse_rows
 from .errors import (
     AntisymmetryViolation,
     DimensionMismatch,
@@ -172,12 +172,18 @@ def check_bracket_compatible(g: LieAlgebra, mats, n: int, what: str) -> None:
     for m in mats:
         if len(m) != n or any(len(row) != n for row in m):
             raise DimensionMismatch(f"{what} matrix has wrong shape")
+    rows = [sparse_rows(m) for m in mats]
+    consts = [sparse_rows(plane) for plane in g.structure_constants]
     for a in range(d):
         for b in range(a + 1, d):
-            want = linear_combination(g.structure_constants[a][b], mats)
-            if _commutator(mats[a], mats[b]) != want:
-                raise ValueError(
-                    f"{what} not bracket compatible on basis pair ({a}, {b})")
+            f_ab = consts[a][b]
+            for i in range(n):
+                acc = row_mul_add({}, rows[a][i], rows[b])
+                row_mul_add(acc, rows[b][i], rows[a], -1)
+                row_mul_add(acc, f_ab, {c: rows[c][i] for c in f_ab}, -1)
+                if any(acc.values()):
+                    raise ValueError(
+                        f"{what} not bracket compatible on basis pair ({a}, {b})")
 
 
 def check_representation(g: LieAlgebra, rep: Representation) -> None:

@@ -42,7 +42,7 @@ from .kauffman import kauffman_bracket
 from .quantum_group import (
     RibbonRep,
     quantum_dimension,
-    ribbon_twist,
+    ribbon_twist,  # unused here; perfbench/tracing.py wraps rt.ribbon_twist
     sln_fundamental_ribbon,
 )
 from .ring import HSeries, LaurentPoly, laurent_to_hseries, series_inverse
@@ -162,7 +162,7 @@ def framed_invariant(link: SlicedTangle, rep: RibbonRep) -> LaurentPoly:
 
 def writhe_corrected_invariant(link: SlicedTangle, rep: RibbonRep) -> LaurentPoly:
     """Framed invariant with the twist contribution of the writhe removed."""
-    return framed_invariant(link, rep) * ribbon_twist(rep) ** (-writhe(link))
+    return framed_invariant(link, rep) * rep.twist ** (-writhe(link))
 
 
 def normalized_invariant(link: SlicedTangle, rep: RibbonRep) -> LaurentPoly:

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 
+from rtfactor._linalg import mat_mul
 from rtfactor.ce import (
+    SuperModule,
     ce_complex,
     cohomology_dims,
     cs_deformation_cohomology,
@@ -15,6 +19,8 @@ from rtfactor.ce import (
 )
 from rtfactor.errors import DimensionTooLarge
 from rtfactor.lie import builtin
+
+from test_linalg import _change_basis, _rebased
 
 
 def euler_char(dims):
@@ -166,3 +172,156 @@ def test_defect_module_action_is_derivation_spot_check():
     # and on the dual generators the sign flips: E.w1 = -w2
     col_w1 = idx[0b0100]
     assert e_action[idx[0b1000]][col_w1] == -1
+
+
+def test_sl3_fundamental_defect_whitehead():
+    # dim-63 module over an 8-dim algebra: out of reach while every degree
+    # of the complex was built and checked densely
+    g, rep = builtin("sl3")
+    assert defect_deformation_cohomology(g, rep) == (0, 0)
+
+
+# -- the sparse complex against the dense construction -------------------------
+
+def _dense_differentials(g, module):
+    """Oracle: every differential as a dense Fraction matrix, d.d = 0
+    checked by dense products."""
+    d = g.dim
+    dim_m = module.dim
+    f = g.structure_constants
+    subsets = [list(combinations(range(d), k)) for k in range(d + 1)]
+    index = [{s: i for i, s in enumerate(level)} for level in subsets]
+    spaces = [comb(d, k) * dim_m for k in range(d + 1)]
+    differentials = []
+    for k in range(d):
+        dk = [[Fraction(0)] * spaces[k] for _ in range(spaces[k + 1])]
+        for big in subsets[k + 1]:
+            row_base = index[k + 1][big] * dim_m
+            for i, ti in enumerate(big):
+                rest = big[:i] + big[i + 1:]
+                col_base = index[k][rest] * dim_m
+                sign = -1 if i % 2 else 1
+                for mp in range(dim_m):
+                    for m in range(dim_m):
+                        dk[row_base + mp][col_base + m] += sign * module.action[ti][mp][m]
+                for j in range(i + 1, k + 1):
+                    tj = big[j]
+                    between = big[:i] + big[i + 1:j] + big[j + 1:]
+                    pair_sign = -1 if (i + j) % 2 else 1
+                    for c in range(d):
+                        fc = f[ti][tj][c]
+                        if not fc or c in between:
+                            continue
+                        pos = sum(1 for b in between if b < c)
+                        small = tuple(sorted(between + (c,)))
+                        col_base2 = index[k][small] * dim_m
+                        coeff = pair_sign * fc * (1 if pos % 2 == 0 else -1)
+                        for m in range(dim_m):
+                            dk[row_base + m][col_base2 + m] += coeff
+        differentials.append(dk)
+    for k in range(d - 1):
+        square = mat_mul(differentials[k + 1], differentials[k])
+        assert all(not v for row in square for v in row)
+    return differentials
+
+
+def _trivial_case(name):
+    g, _ = builtin(name)
+    return g, trivial_module(g)
+
+
+def _defect_case(name, boundary=False):
+    g, rep = builtin(name)
+    return g, defect_module(g, rep, boundary)
+
+
+def _defect_rebased_case(name):
+    g, rep = _rebased(*builtin(name), random.Random(7))
+    return g, defect_module(g, rep)
+
+
+@pytest.mark.parametrize("build, args", [
+    (_trivial_case, ("sl2",)), (_trivial_case, ("so3",)),
+    (_trivial_case, ("sl3",)), (_trivial_case, ("abelian(3)",)),
+    (_defect_case, ("sl2",)), (_defect_case, ("sl2", True)),
+    (_defect_case, ("so3",)), (_defect_case, ("so3", True)),
+    (_defect_rebased_case, ("so3",))])
+def test_sparse_differentials_match_dense_oracle(build, args):
+    g, module = build(*args)
+    c = ce_complex(g, module)
+    dense = _dense_differentials(g, module)
+    assert len(c.differentials) == len(dense)
+    for k, (rows, want) in enumerate(zip(c.differentials, dense)):
+        assert len(rows) == len(want) == c.spaces[k + 1]
+        for row, want_row in zip(rows, want):
+            assert all(v and (type(v) is int or v.denominator > 1)
+                       for v in row.values()), (k, row)
+            assert [row.get(j, 0) for j in range(c.spaces[k])] == want_row, k
+
+
+# (kind, algebra) for each cs/defect input class of perfbench/cohomology.py
+_WORKLOAD_CASES = (
+    [("cs", name) for name in ("sl2", "so3", "sl3", "abelian(3)", "abelian(4)",
+                               "abelian(5)")]
+    + [("defect", name) for name in ("sl2", "so3", "abelian(1)", "abelian(2)",
+                                     "abelian(3)")]
+    + [("boundary", name) for name in ("sl2", "sl2_irrep(2)")])
+
+
+@pytest.mark.parametrize("kind, name", _WORKLOAD_CASES)
+@pytest.mark.parametrize("rebase", [False, True])
+def test_degree_restricted_complex_matches_full(kind, name, rebase):
+    g, rep = builtin(name)
+    if rebase and g.dim > 1:
+        g, rep = _rebased(g, rep, random.Random(name))
+    if kind == "cs":
+        module, degrees = trivial_module(g), (3, 4)
+    else:
+        module, degrees = defect_module(g, rep, kind == "boundary"), (1, 2)
+    full = cohomology_dims(ce_complex(g, module))
+    part = ce_complex(g, module, degrees)
+    built = {j for k in degrees for j in (k - 1, k) if 0 <= j < g.dim}
+    assert {k for k, dk in enumerate(part.differentials) if dk is not None} == built
+    betti = cohomology_dims(part)
+    want = tuple(full[k] if k < len(full) else 0 for k in degrees)
+    assert tuple(betti[k] if k < len(betti) else 0 for k in degrees) == want
+    if kind == "cs":
+        assert cs_deformation_cohomology(g) == want
+    else:
+        assert defect_deformation_cohomology(g, rep, kind == "boundary") == want
+
+
+# e'_0 = e_0 / 2 and e'_1 = e_1 + e_0 / 3: rational structure constants and action
+_SCALE = [[Fraction(1, 2), 0, 0], [Fraction(1, 3), 1, 0], [0, 0, 1]]
+_SCALE_INV = [[2, 0, 0], [Fraction(-2, 3), 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("name", ["sl2", "so3"])
+def test_rational_basis_gives_builtin_answers(name):
+    g0, rep0 = builtin(name)
+    g, rep = _change_basis(g0, rep0, _SCALE, _SCALE_INV)
+    assert any(v.denominator > 1 for plane in g.structure_constants
+               for coords in plane for v in coords)
+    assert any(Fraction(v).denominator > 1 for m in rep.matrices
+               for row in m for v in row)
+    for module, module0 in [(trivial_module(g), trivial_module(g0)),
+                            (module_from_representation(g, rep),
+                             module_from_representation(g0, rep0))]:
+        assert cohomology_dims(ce_complex(g, module)) == \
+            cohomology_dims(ce_complex(g0, module0))
+    assert cs_deformation_cohomology(g) == cs_deformation_cohomology(g0)
+    for boundary in (False, True):
+        assert defect_deformation_cohomology(g, rep, boundary) == \
+            defect_deformation_cohomology(g0, rep0, boundary)
+
+
+def test_broken_action_fails_d_squared_check():
+    # scaling F by 2 breaks [E, F] = H; built without make_super_module,
+    # the action reaches ce_complex unchecked
+    g, _ = builtin("sl2")
+    one, zero = Fraction(1), Fraction(0)
+    action = (((one, zero), (zero, -one)), ((zero, one), (zero, zero)),
+              ((zero, zero), (2 * one, zero)))
+    module = SuperModule(2, 0, action)
+    with pytest.raises(AssertionError, match=r"d\.d != 0 at degree 0"):
+        ce_complex(g, module)

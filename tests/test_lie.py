@@ -218,6 +218,24 @@ def test_bad_representation_rejected():
         check_representation(g, Representation(2, (((1, 0), (0, -1)),)))
 
 
+@pytest.mark.parametrize("name, a, entry, delta, pair", [
+    ("sl2", 1, (0, 1), Fraction(1, 3), (1, 2)),
+    ("sl2", 2, (1, 0), 1, (1, 2)),
+    ("so3", 1, (0, 2), Fraction(1, 3), (0, 1)),
+    ("sl3", 1, (0, 2), Fraction(1, 3), (0, 3)),
+    ("sl3", 7, (2, 0), 1, (0, 7)),
+    ("sl2_irrep(3)", 2, (3, 0), 1, (0, 2))])
+def test_representation_perturbed_in_one_entry_rejected(name, a, entry, delta, pair):
+    from rtfactor.lie import Representation
+    g, rep = builtin(name)
+    mats = [[list(row) for row in m] for m in rep.matrices]
+    mats[a][entry[0]][entry[1]] += delta
+    bad = Representation(rep.dim, tuple(tuple(map(tuple, m)) for m in mats))
+    message = f"representation not bracket compatible on basis pair {pair}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_representation(g, bad)
+
+
 def test_json_roundtrip_all_builtins():
     for name in ALL_BUILTINS:
         g, _ = builtin(name)

@@ -55,6 +55,8 @@ def test_random_low_rank_products_match_oracle(seed):
     rows, cols = rng.randint(0, 14), rng.randint(0, 14)
     m = _low_rank(rng, rows, cols, rng.randint(0, 8), big=seed % 4 == 3)
     assert exact_rank(m) == _dense_rank(m)
+    # the same rows as {column: value} dicts, explicit zeros included
+    assert exact_rank([dict(enumerate(row)) for row in m]) == _dense_rank(m)
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 5), (5, 0), (3, 3)])
@@ -108,9 +110,13 @@ def _unimodular(rng, d):
 
 
 def _rebased(g, rep, rng):
+    """g and rep in a seeded random unimodular integer basis."""
+    return _change_basis(g, rep, *_unimodular(rng, g.dim))
+
+
+def _change_basis(g, rep, p, p_inv):
     """g and rep in the basis e'_i = sum_a P_ia e_a."""
     d, f = g.dim, g.structure_constants
-    p, p_inv = _unimodular(rng, d)
     image = [[[sum(p[i][a] * p[j][b] * f[a][b][c]
                    for a in range(d) for b in range(d)) for c in range(d)]
               for j in range(d)] for i in range(d)]
@@ -142,5 +148,7 @@ def _defect_rebased(name):
     (_trivial, "sl2"), (_trivial, "so3"), (_trivial, "sl3"),
     (_defect, "sl2"), (_defect, "so3"), (_defect_rebased, "so3")])
 def test_every_differential_matches_oracle(build, name):
-    for k, dk in enumerate(build(name).differentials):
-        assert exact_rank(dk) == _dense_rank(dk), (build.__name__, name, k)
+    c = build(name)
+    for k, dk in enumerate(c.differentials):
+        dense = [[row.get(j, 0) for j in range(c.spaces[k])] for row in dk]
+        assert exact_rank(dk) == _dense_rank(dense), (build.__name__, name, k)
