@@ -9,12 +9,14 @@
   elimination over the integers.
 * ``mat_inv``: inverse of a square matrix over the rationals.
 
-Dense matrices are lists-of-lists over an exact ring (Fraction, or any type
-with +, -, * and a truthy zero test); ``mat_mul`` takes the ring's zero as
-an argument.  Sparse rows keep integral values as ints, several times
-cheaper than Fractions.  ``exact_rank`` takes sparse or dense rows: its
-inputs, the Chevalley-Eilenberg differentials, have thousands of rows with
-a few small integer entries each.  ``mat_inv`` stays plain Gauss-Jordan.
+Sparse rows are the one matrix format of the Lie and cohomology layer:
+brackets, module actions and Chevalley-Eilenberg differentials, the last
+thousands of rows with a few small integer entries each.  They keep
+integral values as ints, several times cheaper than Fractions.  Dense
+matrices are lists-of-lists over an exact ring (Fraction, or any type with
++, -, * and a truthy zero test), for the small matrices of pairings and
+representations; ``mat_mul`` takes the ring's zero as an argument and
+``mat_inv`` stays plain Gauss-Jordan.  ``exact_rank`` takes either form.
 """
 from __future__ import annotations
 

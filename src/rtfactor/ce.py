@@ -6,11 +6,13 @@ parity splitting), with the differential
     (d phi)(x_0, ..., x_k) = sum_i (-1)^i x_i . phi(..., x_i dropped, ...)
                            + sum_{i<j} (-1)^{i+j} phi([x_i, x_j], ..., both dropped)
 
-Each d_k: C^k -> C^{k+1} is a list of sparse {column: value} rows, values
-ints where integral, and is built only when an asked degree needs it (H^k
-needs d_{k-1} and d_k).  d . d = 0 is asserted by a sparse product on every
-pair of consecutive differentials built, never assumed.  Betti numbers come
-from exact rank computations over the rationals.
+The brackets (``LieAlgebra.brackets``), each module action and each
+differential d_k: C^k -> C^{k+1} are lists of sparse {column: value} rows,
+values ints where integral.  d_k is built only when an asked degree needs
+it (H^k needs d_{k-1} and d_k), and MAX_COCHAINS bounds the cochains the
+built differentials touch.  d . d = 0 is asserted by a sparse product on
+every pair of consecutive differentials built, never assumed.  Betti
+numbers come from exact rank computations over the rationals.
 
 Two deformation-complex front ends are provided: one for the bulk theory
 (trivial coefficients, degrees 3 and 4) and one for line defects built from a
@@ -20,18 +22,31 @@ algebra on V + V*, degrees 1 and 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, compress, count
+from itertools import combinations
 from math import comb
 
 # mat_mul is unused here but stays importable: perfbench/tracing.py wraps ce.mat_mul
-from ._linalg import exact_rank, mat_mul, row_mul_add, sparse_rows
+from ._linalg import exact_rank, mat_mul, row_mul_add
 from .errors import check_size
-from .lie import LieAlgebra, Representation, check_bracket_compatible
-from .ring import rat
+from .lie import (LieAlgebra, Representation, check_bracket_compatible,
+                  sparse_matrices)
 
-MAX_ALGEBRA_DIM = 10
-MAX_DEFECT_CARRIER_DIM = 5
+# 2^14 admits sl4 cs (4928 cochains) and the sl2_irrep(4) defect (8184, 1 s);
+# the sl2_irrep(5) defect (32760) took 41 s and 1.2 GB.
+MAX_COCHAINS = 2 ** 14
+DEFECT_DEGREES = (1, 2)
+
+
+def _differentials_to_build(d: int, dim_m: int, degrees) -> set:
+    """The k of each d_k that H^j for j in ``degrees`` needs (d_{j-1} and
+    d_j; every d_k when None).  Refused when the spaces C^k, C^{k+1} they
+    touch, of comb(d, k) * dim_m cochains each, hold more than MAX_COCHAINS."""
+    built = set(range(d)) if degrees is None else {
+        k for j in degrees for k in (j - 1, j) if 0 <= k < d}
+    touched = {j for k in built for j in (k, k + 1)}
+    check_size("cochain count", sum(comb(d, j) for j in touched) * dim_m,
+               MAX_COCHAINS)
+    return built
 
 
 @dataclass(frozen=True)
@@ -45,7 +60,7 @@ class SuperModule:
 
     even_dim: int
     odd_dim: int
-    action: tuple  # one (dim x dim) matrix per algebra basis element
+    action: tuple  # per algebra basis element, dim sparse {column: value} rows
 
     @property
     def dim(self) -> int:
@@ -53,23 +68,24 @@ class SuperModule:
 
 
 def make_super_module(g: LieAlgebra, even_dim: int, odd_dim: int, action) -> SuperModule:
-    """Validate block structure and bracket compatibility, then freeze."""
-    n = even_dim + odd_dim
-    mats = [[list(map(rat, row)) for row in m] for m in action]
-    check_bracket_compatible(g, mats, n, "module action")
-    for a, m in enumerate(mats):
+    """Convert dense int/Fraction matrices once; check shape, brackets, parity."""
+    return _checked_module(g, even_dim, sparse_matrices(
+        g, action, even_dim + odd_dim, "module action"))
+
+
+def _checked_module(g: LieAlgebra, even_dim: int, rows) -> SuperModule:
+    check_bracket_compatible(g, rows, "module action")
+    for a, m in enumerate(rows):
         for i, row in enumerate(m):
-            for j in compress(count(), row):
+            for j in row:
                 if (i < even_dim) != (j < even_dim):
                     raise ValueError(
                         f"action matrix {a} mixes parities at entry ({i}, {j})")
-    frozen = tuple(tuple(tuple(row) for row in m) for m in mats)
-    return SuperModule(even_dim, odd_dim, frozen)
+    return SuperModule(even_dim, len(rows[0]) - even_dim, tuple(rows))
 
 
 def trivial_module(g: LieAlgebra, dim: int = 1) -> SuperModule:
-    zero = tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim))
-    return SuperModule(dim, 0, tuple(zero for _ in range(g.dim)))
+    return SuperModule(dim, 0, tuple([{}] * dim for _ in range(g.dim)))
 
 
 def module_from_representation(g: LieAlgebra, rep: Representation) -> SuperModule:
@@ -86,20 +102,16 @@ class CochainComplex:
 def ce_complex(g: LieAlgebra, module: SuperModule, degrees=None) -> CochainComplex:
     """Build the differentials that H^k for k in ``degrees`` needs (all when
     None); asserts d.d = 0 exactly on each consecutive pair built."""
-    d = g.dim
-    check_size("algebra dimension", d, MAX_ALGEBRA_DIM)
-    dim_m = module.dim
-    brackets = [sparse_rows(plane) for plane in g.structure_constants]
-    act = [sparse_rows(m) for m in module.action]
+    d, dim_m = g.dim, module.dim
+    built = _differentials_to_build(d, dim_m, degrees)
+    brackets, act = g.brackets, module.action
 
     subsets = [list(combinations(range(d), k)) for k in range(d + 1)]
     index = [{s: i for i, s in enumerate(level)} for level in subsets]
     spaces = tuple(comb(d, k) * dim_m for k in range(d + 1))
-    wanted = range(d) if degrees is None else {
-        j for k in degrees for j in (k - 1, k) if 0 <= j < d}
 
     differentials = [None] * d
-    for k in wanted:
+    for k in built:
         dk = [{} for _ in range(spaces[k + 1])]
         for big in subsets[k + 1]:
             row_base = index[k + 1][big] * dim_m
@@ -155,8 +167,12 @@ def cs_deformation_cohomology(g: LieAlgebra) -> tuple[int, int]:
 # Defect coefficients: exterior algebra on V + V* with the derivation action
 # ---------------------------------------------------------------------------
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+def _defect_words(n: int, boundary: bool) -> list:
+    """Words on V + V* as bit masks (bit t is generator t): nonempty, or with
+    a V* factor for the boundary; even words first, then by length and mask."""
+    dual_mask = ((1 << n) - 1) << n
+    words = [m for m in range(1, 4 ** n) if m & dual_mask or not boundary]
+    return sorted(words, key=lambda m: (m.bit_count() % 2, m.bit_count(), m))
 
 
 def defect_module(g: LieAlgebra, rho: Representation, boundary: bool = False) -> SuperModule:
@@ -165,49 +181,39 @@ def defect_module(g: LieAlgebra, rho: Representation, boundary: bool = False) ->
     Generators: a basis of V (indices 0..n-1) and of V* (indices n..2n-1),
     all odd.  Words are subsets; the algebra acts by derivations, on V by rho
     and on V* by minus the transpose.  The flat module keeps every nonempty
-    word; the boundary variant keeps words with at least one V* factor.
+    word (4^n - 1 of them); the boundary variant keeps words with at least
+    one V* factor (4^n - 2^n).  Refused, before any word is built, when
+    the complex for H^k, k in DEFECT_DEGREES, exceeds MAX_COCHAINS.
     """
     n = rho.dim
-    check_size("carrier dimension", n, MAX_DEFECT_CARRIER_DIM)
+    _differentials_to_build(
+        g.dim, 4 ** n - (2 ** n if boundary else 1), DEFECT_DEGREES)
     total = 2 * n
-    dual_mask = ((1 << n) - 1) << n
-    if boundary:
-        masks = [m for m in range(1 << total) if m & dual_mask]
-    else:
-        masks = [m for m in range(1, 1 << total)]
-    masks.sort(key=lambda m: (_popcount(m) % 2, _popcount(m), m))
-    even_dim = sum(1 for m in masks if _popcount(m) % 2 == 0)
+    masks = _defect_words(n, boundary)
+    even_dim = sum(1 for m in masks if m.bit_count() % 2 == 0)
     index_of = {m: i for i, m in enumerate(masks)}
-    dim_m = len(masks)
 
-    # image of each generator under each algebra element, as {target: coeff}
-    gen_images = []
-    for a in range(g.dim):
-        mat = rho.matrices[a]
-        img: list[dict[int, Fraction]] = []
-        for t in range(n):  # V generators: column t of rho
-            img.append({j: mat[j][t] for j in range(n) if mat[j][t]})
-        for t in range(n):  # V* generators: column t of -rho^T = -row t of rho
-            img.append({n + j: -mat[t][j] for j in range(n) if mat[t][j]})
-        gen_images.append(img)
-
-    action = []
-    for a in range(g.dim):
-        m_a = [[Fraction(0)] * dim_m for _ in range(dim_m)]
+    rows = []
+    for rho_a in sparse_matrices(g, rho.matrices, n, "representation"):
+        # generator images {target: coeff}: columns of rho on V, of -rho^T on V*
+        images = [{} for _ in range(total)]
+        for j, row in enumerate(rho_a):
+            for t, v in row.items():
+                images[t][j] = v
+                images[n + j][n + t] = -v
+        out = [{} for _ in masks]
         for col, mask in enumerate(masks):
             bits = [b for b in range(total) if (mask >> b) & 1]
             for t in bits:
-                for y, cf in gen_images[a][t].items():
+                for y, cf in images[t].items():
                     if y != t and (mask >> y) & 1:
                         continue  # repeated odd generator: word dies
-                    new_mask = (mask & ~(1 << t)) | (1 << y)
                     lo, hi = min(t, y), max(t, y)
                     crossings = sum(1 for b in bits if b != t and lo < b < hi)
-                    sign = -1 if crossings % 2 else 1
-                    m_a[index_of[new_mask]][col] += sign * cf
-        action.append(m_a)
-
-    return make_super_module(g, even_dim, dim_m - even_dim, action)
+                    target = out[index_of[(mask & ~(1 << t)) | (1 << y)]]
+                    target[col] = target.get(col, 0) + (-cf if crossings % 2 else cf)
+        rows.append([{c: v for c, v in row.items() if v} for row in out])
+    return _checked_module(g, even_dim, rows)
 
 
 def defect_deformation_cohomology(g: LieAlgebra, rho: Representation,
@@ -215,5 +221,5 @@ def defect_deformation_cohomology(g: LieAlgebra, rho: Representation,
     """(dim H^1, dim H^2) of the cochain complex with defect coefficients:
     deformation and obstruction groups of the defect theory."""
     betti = cohomology_dims(
-        ce_complex(g, defect_module(g, rho, boundary), degrees=(1, 2)))
+        ce_complex(g, defect_module(g, rho, boundary), DEFECT_DEGREES))
     return (betti + (0,))[1:3]  # zero above the top degree

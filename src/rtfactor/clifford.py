@@ -220,10 +220,7 @@ def hh0_dimension(d: int) -> int:
             comm = ab - ba.scale(koszul)
             if comm.is_zero:
                 continue
-            row = [Fraction(0)] * n
-            for w, c in comm.terms:
-                row[index[w]] = c
-            rows.append(row)
+            rows.append({index[w]: c for w, c in comm.terms})
     return n - exact_rank(rows)
 
 

@@ -2,7 +2,8 @@
 
 An algebra is stored as its structure constants: ``structure_constants[a][b][c]``
 is the coefficient of basis element c in the bracket of basis elements a and b.
-Construction validates antisymmetry and the Jacobi identity exactly.
+Computations read ``brackets``, the same data as sparse rows with ints where
+integral.  Construction validates antisymmetry and the Jacobi identity exactly.
 
 Builtin algebras come with a distinguished matrix representation where one
 exists (defining/fundamental); all matrices act on column vectors.
@@ -13,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from ._linalg import exact_rank, mat_mul, row_mul_add, sparse_rows
@@ -39,6 +40,11 @@ MAX_IRREP_DIM = 1024
 class LieAlgebra:
     dim: int
     structure_constants: tuple  # structure_constants[a][b][c]: Fraction
+
+    @cached_property
+    def brackets(self) -> list:
+        """[e_a, e_b] as brackets[a][b] = {c: f_ab^c} over nonzero constants."""
+        return [sparse_rows(plane) for plane in self.structure_constants]
 
     def bracket(self, a: int, b: int) -> list[Fraction]:
         """Coordinates of [e_a, e_b]."""
@@ -92,37 +98,25 @@ def make_lie_algebra(structure_constants) -> LieAlgebra:
             for c in range(d):
                 if f[a][b][c] != -f[b][a][c]:
                     raise AntisymmetryViolation((a, b, c))
-    # Jacobi, summed over nonzero constants only: f_xy^m f_mz^k for the
-    # three cyclic orders (x, y, z) of each triple a < b < c.
-    nonzero = [[[(m, v) for m, v in enumerate(row) if v] for row in plane]
-               for plane in f]
+    g = LieAlgebra(d, tuple(tuple(tuple(row) for row in plane) for plane in f))
+    # Jacobi: f_xy^m f_mz^k for the three cyclic orders (x, y, z) of each
+    # triple a < b < c
+    br = g.brackets
     for a, b, c in combinations(range(d), 3):
         acc = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            for m, v in nonzero[x][y]:
-                for k, w in nonzero[m][z]:
-                    acc[k] = acc.get(k, 0) + v * w
+            row_mul_add(acc, br[x][y], {m: br[m][z] for m in br[x][y]})
         broken = [k for k, v in acc.items() if v]
         if broken:
             raise JacobiViolation((a, b, c, min(broken)))
-    frozen = tuple(tuple(tuple(row) for row in plane) for plane in f)
-    return LieAlgebra(d, frozen)
+    return g
 
 
 def killing_form(g: LieAlgebra) -> list[list[Fraction]]:
-    """kappa(a, b) = trace(ad e_a . ad e_b)."""
-    d = g.dim
-    f = g.structure_constants
-    out = [[Fraction(0)] * d for _ in range(d)]
-    for a in range(d):
-        for b in range(a, d):
-            acc = Fraction(0)
-            for m in range(d):
-                for k in range(d):
-                    acc += f[a][m][k] * f[b][k][m]
-            out[a][b] = acc
-            out[b][a] = acc
-    return out
+    """kappa(a, b) = trace(ad e_a . ad e_b) = sum_{m,k} f_am^k f_bk^m."""
+    br, d = g.brackets, range(g.dim)
+    return [[Fraction(sum(v * br[b][k].get(m, 0) for m in d
+                          for k, v in br[a][m].items())) for b in d] for a in d]
 
 
 def is_semisimple(g: LieAlgebra) -> bool:
@@ -133,7 +127,7 @@ def is_semisimple(g: LieAlgebra) -> bool:
 def check_invariant_pairing(g: LieAlgebra, pairing: InvariantPairing) -> PairingReport:
     """Verify symmetry, order-0 nondegeneracy, and ad-invariance per h-order."""
     d = g.dim
-    f = g.structure_constants
+    br = g.brackets
     violations = []
     for k, G in enumerate(pairing.orders):
         if len(G) != d or any(len(row) != d for row in G):
@@ -150,34 +144,36 @@ def check_invariant_pairing(g: LieAlgebra, pairing: InvariantPairing) -> Pairing
             for a in range(d):
                 for b in range(d):
                     for c in range(d):
-                        acc = Fraction(0)
-                        for m in range(d):
-                            acc += f[a][b][m] * G[m][c] + f[a][c][m] * G[b][m]
+                        acc = (sum(v * G[m][c] for m, v in br[a][b].items())
+                               + sum(v * G[b][m] for m, v in br[a][c].items()))
                         if acc:
                             violations.append(PairingViolation("invariance", k, (a, b, c)))
     return PairingReport(not violations, tuple(violations))
 
 
-def check_bracket_compatible(g: LieAlgebra, mats, n: int, what: str) -> None:
-    """Assert one n x n matrix per basis element with
-    [rho(e_a), rho(e_b)] = sum_c f_ab^c rho(e_c) on all basis pairs.
-
-    ``what`` names the matrices in error messages.  Raises DimensionMismatch
-    on a wrong count or shape, ValueError on a failing pair.
-    """
-    d = g.dim
-    if len(mats) != d:
+def sparse_matrices(g: LieAlgebra, mats, n: int, what: str) -> list:
+    """One dense n x n int/Fraction matrix per basis element as sparse rows;
+    DimensionMismatch, naming ``what``, on a wrong count or shape."""
+    if len(mats) != g.dim:
         raise DimensionMismatch(
-            f"{what} has {len(mats)} matrices for a {d}-dim algebra")
+            f"{what} has {len(mats)} matrices for a {g.dim}-dim algebra")
     for m in mats:
         if len(m) != n or any(len(row) != n for row in m):
             raise DimensionMismatch(f"{what} matrix has wrong shape")
-    rows = [sparse_rows(m) for m in mats]
-    consts = [sparse_rows(plane) for plane in g.structure_constants]
+    return [sparse_rows(m) for m in mats]
+
+
+def check_bracket_compatible(g: LieAlgebra, rows, what: str) -> None:
+    """Assert [rho(e_a), rho(e_b)] = sum_c f_ab^c rho(e_c) on all basis
+    pairs, for rho given as one list of sparse rows per basis element.
+
+    ``what`` names the matrices in the ValueError raised on a failing pair.
+    """
+    d = g.dim
     for a in range(d):
         for b in range(a + 1, d):
-            f_ab = consts[a][b]
-            for i in range(n):
+            f_ab = g.brackets[a][b]
+            for i in range(len(rows[a])):
                 acc = row_mul_add({}, rows[a][i], rows[b])
                 row_mul_add(acc, rows[b][i], rows[a], -1)
                 row_mul_add(acc, f_ab, {c: rows[c][i] for c in f_ab}, -1)
@@ -188,7 +184,9 @@ def check_bracket_compatible(g: LieAlgebra, mats, n: int, what: str) -> None:
 
 def check_representation(g: LieAlgebra, rep: Representation) -> None:
     """Assert rho([x, y]) = rho(x) rho(y) - rho(y) rho(x) on all basis pairs."""
-    check_bracket_compatible(g, rep.matrices, rep.dim, "representation")
+    check_bracket_compatible(
+        g, sparse_matrices(g, rep.matrices, rep.dim, "representation"),
+        "representation")
 
 
 def _commutator(x, y):
@@ -365,13 +363,8 @@ def algebra_to_json(g: LieAlgebra) -> str:
 
     Indices are 0-based; only nonzero constants are listed.
     """
-    brackets = []
-    for a in range(g.dim):
-        for b in range(g.dim):
-            for c in range(g.dim):
-                v = g.structure_constants[a][b][c]
-                if v:
-                    brackets.append([a, b, c, str(v)])
+    brackets = [[a, b, c, str(v)] for a, plane in enumerate(g.brackets)
+                for b, row in enumerate(plane) for c, v in row.items()]
     return json.dumps({"dim": g.dim, "brackets": brackets})
 
 

@@ -238,15 +238,13 @@ def _vertex_tensor(g: LieAlgebra, pairing: InvariantPairing,
     m = len(pairing.orders)
     grades = pairing.orders[:1] if classical_vertex else pairing.orders
     tensor = {}
-    f = g.structure_constants
     for a in range(dim):
         for b in range(dim):
-            row = f[a][b]
-            support = [x for x in range(dim) if row[x]]
-            if not support:
+            row = g.brackets[a][b]
+            if not row:
                 continue
             for c in range(dim):
-                vals = [sum(row[x] * grade[x][c] for x in support)
+                vals = [sum(v * grade[x][c] for x, v in row.items())
                         for grade in grades]
                 if any(vals):
                     tensor[(a, b, c)] = _ring_value(vals, m)

@@ -104,9 +104,22 @@ def test_non_compatible_action_rejected():
 
 
 def test_dimension_guard():
-    g, _ = builtin("abelian(11)")
+    # every degree of abelian(15) touches 2^15 cochains
+    g, _ = builtin("abelian(15)")
     with pytest.raises(DimensionTooLarge):
         ce_complex(g, trivial_module(g))
+
+
+def test_sl4_cs_deformation():
+    g, _ = builtin("sln_fundamental(4)")
+    assert cs_deformation_cohomology(g) == (1, 0)
+
+
+def test_sl4_fundamental_whitehead():
+    g, rep = builtin("sln_fundamental(4)")
+    betti = cohomology_dims(
+        ce_complex(g, module_from_representation(g, rep), degrees=(1, 2)))
+    assert betti[1:3] == (0, 0)
 
 
 def test_cs_deformation_sl2_sl3():
@@ -152,6 +165,7 @@ def test_defect_cohomology_abelian_matches_count_oracle():
 
 
 def test_defect_carrier_guard():
+    # the flat module of a 6-dim carrier has 4^6 - 1 words: 8 * 4095 cochains
     g, rep = builtin("sl2_irrep(5)")
     with pytest.raises(DimensionTooLarge):
         defect_module(g, rep)
@@ -181,6 +195,65 @@ def test_sl3_fundamental_defect_whitehead():
     assert defect_deformation_cohomology(g, rep) == (0, 0)
 
 
+# -- the sparse module against the dense construction --------------------------
+
+def _dense_defect_action(g, rho, boundary):
+    """Oracle: the defect action as dense Fraction matrices, in the word
+    order of defect_module; returns (even_dim, matrices)."""
+    n = rho.dim
+    total = 2 * n
+    dual_mask = ((1 << n) - 1) << n
+    popcount = lambda m: bin(m).count("1")
+    masks = [m for m in range(1, 1 << total) if m & dual_mask or not boundary]
+    masks.sort(key=lambda m: (popcount(m) % 2, popcount(m), m))
+    even_dim = sum(1 for m in masks if popcount(m) % 2 == 0)
+    index_of = {m: i for i, m in enumerate(masks)}
+    dim_m = len(masks)
+    action = []
+    for a in range(g.dim):
+        mat = rho.matrices[a]
+        images = [{j: mat[j][t] for j in range(n) if mat[j][t]} for t in range(n)]
+        images += [{n + j: -mat[t][j] for j in range(n) if mat[t][j]}
+                   for t in range(n)]
+        m_a = [[Fraction(0)] * dim_m for _ in range(dim_m)]
+        for col, mask in enumerate(masks):
+            bits = [b for b in range(total) if (mask >> b) & 1]
+            for t in bits:
+                for y, cf in images[t].items():
+                    if y != t and (mask >> y) & 1:
+                        continue
+                    new_mask = (mask & ~(1 << t)) | (1 << y)
+                    lo, hi = min(t, y), max(t, y)
+                    crossings = sum(1 for b in bits if b != t and lo < b < hi)
+                    m_a[index_of[new_mask]][col] += (-1) ** crossings * cf
+        action.append(m_a)
+    return even_dim, action
+
+
+def _assert_sparse_rows_equal(rows, dense):
+    """Same entries, no stored zero, every integral value an int."""
+    assert len(rows) == len(dense)
+    for row, want_row in zip(rows, dense):
+        assert all(v and (type(v) is int or v.denominator > 1)
+                   for v in row.values()), row
+        assert [row.get(j, 0) for j in range(len(want_row))] == want_row
+
+
+@pytest.mark.parametrize("boundary", [False, True], ids=["flat", "boundary"])
+@pytest.mark.parametrize("name, rebase", [
+    ("sl2", False), ("so3", False), ("sl2_irrep(2)", False), ("so3", True)])
+def test_sparse_defect_module_matches_dense_oracle(name, rebase, boundary):
+    g, rep = builtin(name)
+    if rebase:
+        g, rep = _rebased(g, rep, random.Random(7))
+    module = defect_module(g, rep, boundary)
+    even_dim, dense = _dense_defect_action(g, rep, boundary)
+    assert (module.even_dim, module.dim) == (even_dim, len(dense[0]))
+    assert len(module.action) == len(dense) == g.dim
+    for rows, want in zip(module.action, dense):
+        _assert_sparse_rows_equal(rows, want)
+
+
 # -- the sparse complex against the dense construction -------------------------
 
 def _dense_differentials(g, module):
@@ -201,9 +274,9 @@ def _dense_differentials(g, module):
                 rest = big[:i] + big[i + 1:]
                 col_base = index[k][rest] * dim_m
                 sign = -1 if i % 2 else 1
-                for mp in range(dim_m):
-                    for m in range(dim_m):
-                        dk[row_base + mp][col_base + m] += sign * module.action[ti][mp][m]
+                for mp, arow in enumerate(module.action[ti]):
+                    for m, v in arow.items():
+                        dk[row_base + mp][col_base + m] += sign * v
                 for j in range(i + 1, k + 1):
                     tj = big[j]
                     between = big[:i] + big[i + 1:j] + big[j + 1:]
@@ -253,10 +326,8 @@ def test_sparse_differentials_match_dense_oracle(build, args):
     assert len(c.differentials) == len(dense)
     for k, (rows, want) in enumerate(zip(c.differentials, dense)):
         assert len(rows) == len(want) == c.spaces[k + 1]
-        for row, want_row in zip(rows, want):
-            assert all(v and (type(v) is int or v.denominator > 1)
-                       for v in row.values()), (k, row)
-            assert [row.get(j, 0) for j in range(c.spaces[k])] == want_row, k
+        assert all(len(row) == c.spaces[k] for row in want)
+        _assert_sparse_rows_equal(rows, want)
 
 
 # (kind, algebra) for each cs/defect input class of perfbench/cohomology.py
@@ -319,9 +390,7 @@ def test_broken_action_fails_d_squared_check():
     # scaling F by 2 breaks [E, F] = H; built without make_super_module,
     # the action reaches ce_complex unchecked
     g, _ = builtin("sl2")
-    one, zero = Fraction(1), Fraction(0)
-    action = (((one, zero), (zero, -one)), ((zero, one), (zero, zero)),
-              ((zero, zero), (2 * one, zero)))
+    action = ([{0: 1}, {1: -1}], [{1: 1}, {}], [{}, {0: 2}])
     module = SuperModule(2, 0, action)
     with pytest.raises(AssertionError, match=r"d\.d != 0 at degree 0"):
         ce_complex(g, module)

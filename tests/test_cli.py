@@ -212,6 +212,13 @@ def test_cohomology_bulk_deformation(capsys):
     assert out == "H3=1 H4=0\n"
 
 
+def test_cohomology_sl4_bulk_deformation(capsys):
+    code, out, _ = run_cli(capsys, "cohomology", "--algebra",
+                           "sln_fundamental(4)", "--deformation", "cs")
+    assert code == 0
+    assert out == "H3=1 H4=0\n"
+
+
 def test_cohomology_betti_table(capsys):
     code, out, _ = run_cli(capsys, "cohomology", "--algebra", "sl2")
     assert code == 0

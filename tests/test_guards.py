@@ -3,13 +3,16 @@
 Above its limit each guard raises DimensionTooLarge with the one message
 form of ``errors.check_size``, before its costly step runs (the step is
 monkeypatched to fail).  At its limit the input is admitted and finishes.
-A lint test keeps ``check_size`` the only place the exception is raised.
+A lint test keeps ``check_size`` the only place the exception is raised,
+and another keeps README's size-limit table in step with the constants.
 """
 
 import ast
+import importlib
+import re
 from fractions import Fraction
 from itertools import count
-from math import isqrt
+from math import comb, isqrt
 from pathlib import Path
 
 import numpy as np
@@ -20,20 +23,21 @@ from rtfactor import (ce, cli, clifford, confint, diagram, kauffman, lie, ring,
 from rtfactor.diagram import (LinkSpec, braid_closure_sliced, make_braid,
                               pd_from_sliced)
 from rtfactor.errors import DimensionTooLarge
-from rtfactor.lie import InvariantPairing, Representation, builtin
+from rtfactor.lie import InvariantPairing, builtin
 from rtfactor.quantum_group import (quantum_dimension, ribbon_twist,
                                     sln_fundamental_ribbon)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rtfactor"
+README = SRC.parents[1] / "README.md"
 
 
 def _message(what, size, limit):
     return f"{what} {size} exceeds the limit {limit}"
 
 
-def _zero_rep(g, dim):
-    zero = tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim))
-    return Representation(dim, (zero,) * g.dim)
+def _trivial_case(dim):
+    g, _ = builtin(f"abelian({dim})")
+    return g, ce.trivial_module(g)
 
 
 def _identity_pairing(dim):
@@ -130,15 +134,14 @@ GUARDS = {
         ("sl2_irrep carrier dimension", lie.MAX_IRREP_DIM + 1,
          lie.MAX_IRREP_DIM),
         (lie, "Fraction")),
-    "ce-algebra": (
-        lambda: ce.cs_deformation_cohomology(builtin("abelian(11)")[0]),
-        ("algebra dimension", 11, ce.MAX_ALGEBRA_DIM),
+    "ce-cochains": (  # every degree of abelian(15): 2^15 cochains
+        lambda: ce.ce_complex(*_trivial_case(15)),
+        ("cochain count", 2 ** 15, ce.MAX_COCHAINS),
         (ce, "combinations")),
-    "ce-defect-carrier": (
-        lambda: ce.defect_module(builtin("abelian(1)")[0],
-                                 _zero_rep(builtin("abelian(1)")[0], 6)),
-        ("carrier dimension", 6, ce.MAX_DEFECT_CARRIER_DIM),
-        (ce, "_popcount")),
+    "ce-defect": (  # 4^6 - 1 words on a 6-dim carrier, in C^0..C^3 of sl2
+        lambda: ce.defect_module(*builtin("sl2_irrep(5)")),
+        ("cochain count", 8 * (4 ** 6 - 1), ce.MAX_COCHAINS),
+        (ce, "_defect_words")),
     "clifford-hh0": (
         lambda: clifford.hh0_dimension(clifford.MAX_HH_DIM + 1),
         ("generator count", clifford.MAX_HH_DIM + 1, clifford.MAX_HH_DIM),
@@ -215,15 +218,12 @@ ADMITTED = {
     "builtin-abelian": (
         lambda: builtin(f"abelian({lie.MAX_PARSED_ALGEBRA_DIM})")[0].dim,
         lie.MAX_PARSED_ALGEBRA_DIM),
-    "ce-algebra": (  # H3, H4 of an abelian algebra: C(10, 3), C(10, 4)
-        lambda: ce.cs_deformation_cohomology(
-            builtin(f"abelian({ce.MAX_ALGEBRA_DIM})")[0]),
-        (120, 210)),
-    "ce-defect-carrier": (  # every nonempty word on 5 + 5 generators
-        lambda: ce.defect_module(
-            builtin("abelian(1)")[0],
-            _zero_rep(builtin("abelian(1)")[0], ce.MAX_DEFECT_CARRIER_DIM)).dim,
-        2 ** (2 * ce.MAX_DEFECT_CARRIER_DIM) - 1),
+    "ce-cochains": (  # every degree of abelian(14): 2^14 cochains
+        lambda: ce.cohomology_dims(ce.ce_complex(*_trivial_case(14))),
+        tuple(comb(14, k) for k in range(15))),
+    "ce-defect": (  # 8 * 1023 cochains, the largest sl2 carrier admitted
+        lambda: ce.defect_deformation_cohomology(*builtin("sl2_irrep(4)")),
+        (0, 0)),
     "clifford-hh0": (
         lambda: clifford.hh0_dimension(clifford.MAX_HH_DIM), 1),
     # No closed trivalent graph has 10 edges (it has 3V/2), so 9 is the
@@ -264,11 +264,11 @@ CLI_REFUSALS = [
     (["cohomology", "--algebra", "sl2", "--coefficients",
       "rep:sl2_irrep(1024)"],
      _message("sl2_irrep carrier dimension", 1025, 1024)),
-    (["cohomology", "--algebra", "abelian(11)"],
-     _message("algebra dimension", 11, 10)),
+    (["cohomology", "--algebra", "abelian(15)"],
+     _message("cochain count", 2 ** 15, 2 ** 14)),
     (["cohomology", "--algebra", "sl2", "--deformation", "defect",
       "--coefficients", "rep:sl2_irrep(5)"],
-     _message("carrier dimension", 6, 5)),
+     _message("cochain count", 8 * 4095, 2 ** 14)),
     (["weights", "--algebra", "abelian(9)", "--graph", _FOUR_THETAS],
      _message("algebra dimension", 9, 8)),
     (["weights", "--algebra", "sl2", "--graph", _FOUR_THETAS],
@@ -320,6 +320,54 @@ def test_cli_refusal_exits_1_with_the_uniform_message(capsys, argv, message):
                          ids=[name for name, _, _ in LINK_REFUSALS])
 def test_link_refusal_exits_1_with_the_uniform_message(capsys, argv, message):
     _assert_exits_1_with(capsys, argv, message)
+
+
+# Defect complexes refused before any word of the module is built:
+# (algebra, carrier representation or None, variant, dim M, cochain spaces)
+DEFECT_REFUSALS = [
+    ("sl2", "sl2_irrep(5)", "defect", 4 ** 6 - 1, 8),
+    ("sl2", "sl2_irrep(5)", "defect-boundary", 4 ** 6 - 2 ** 6, 8),
+    ("sl2", "sl2_irrep(1023)", "defect", 4 ** 1024 - 1, 8),
+    ("sln_fundamental(4)", None, "defect", 4 ** 4 - 1, 1 + 15 + 105 + 455),
+]
+
+
+@pytest.mark.parametrize("algebra, rep, variant, dim_m, cochains",
+                         DEFECT_REFUSALS,
+                         ids=[f"{a}-{r}-{v}" for a, r, v, _, _ in DEFECT_REFUSALS])
+def test_defect_refused_before_any_word_is_built(monkeypatch, capsys, algebra,
+                                                 rep, variant, dim_m, cochains):
+    def fail(*args):
+        raise AssertionError("ce._defect_words ran before the guard")
+
+    monkeypatch.setattr(ce, "_defect_words", fail)
+    argv = ["cohomology", "--algebra", algebra, "--deformation", variant]
+    if rep is not None:
+        argv += ["--coefficients", f"rep:{rep}"]
+    _assert_exits_1_with(capsys, argv, _message(
+        "cochain count", cochains * dim_m, ce.MAX_COCHAINS))
+
+
+def test_every_size_limit_has_its_readme_row():
+    """Each module-level MAX_* constant of the package has a row with its
+    value in README's size-limit table, and every row names one."""
+    constants = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"rtfactor.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            constants.update(
+                (f"{path.stem}.{t.id}", str(getattr(module, t.id)))
+                for t in targets
+                if isinstance(t, ast.Name) and t.id.startswith("MAX_"))
+    section = README.read_text(encoding="utf-8").split("### Size limits")[1]
+    section = section.split("\n#")[0]
+    rows = re.findall(r"^\| `(\w+\.\w+)` \| (\S+) \|", section, re.M)
+    assert constants and rows
+    assert {name for name, _ in rows} == set(constants)
+    assert [(name, constants[name]) for name, _ in rows] == rows
 
 
 def _raises(tree):

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,8 @@ from rtfactor.lie import (
     killing_form,
     make_lie_algebra,
 )
+
+from test_linalg import _rebased
 
 ALL_BUILTINS = ["sl2", "sl3", "so3", "sl2_irrep(3)", "sln_fundamental(4)", "abelian(3)"]
 
@@ -129,6 +132,25 @@ def test_killing_form_so3():
     k = killing_form(g)
     assert k == [[-2 if i == j else 0 for j in range(3)] for i in range(3)]
     assert is_semisimple(g)
+
+
+def _dense_killing_form(g):
+    """Oracle: all d^4 products f_am^k f_bk^m of the dense constants."""
+    d, f = g.dim, g.structure_constants
+    return [[sum((f[a][m][k] * f[b][k][m] for m in range(d) for k in range(d)),
+                 Fraction(0)) for b in range(d)] for a in range(d)]
+
+
+@pytest.mark.parametrize("name, rebase", [
+    ("sl2", False), ("so3", False), ("sl3", False),
+    ("sln_fundamental(4)", False), ("sl3", True)])
+def test_killing_form_matches_dense_oracle(name, rebase):
+    g, rep = builtin(name)
+    if rebase:
+        g, _ = _rebased(g, rep, random.Random(5))
+    k = killing_form(g)
+    assert k == _dense_killing_form(g)
+    assert all(type(v) is Fraction for row in k for v in row)
 
 
 def test_killing_form_abelian_zero():
@@ -274,8 +296,11 @@ def test_algebra_json_dim_must_be_positive_integer(dim):
 
 
 def test_algebra_json_size_limit_admits_every_command():
-    assert MAX_PARSED_ALGEBRA_DIM >= max(ce.MAX_ALGEBRA_DIM,
-                                         weights.MAX_WEIGHT_ALGEBRA_DIM)
+    assert MAX_PARSED_ALGEBRA_DIM >= weights.MAX_WEIGHT_ALGEBRA_DIM
+    # the cochain guard admits the bulk complex of every parsed algebra
+    g, _ = builtin(f"abelian({MAX_PARSED_ALGEBRA_DIM})")
+    assert ce.cs_deformation_cohomology(g) == (
+        comb(MAX_PARSED_ALGEBRA_DIM, 3), comb(MAX_PARSED_ALGEBRA_DIM, 4))
     # character takes a JSON algebra equal to a builtin with a representation
     assert MAX_PARSED_ALGEBRA_DIM >= builtin("sln_fundamental(4)")[0].dim
     dim = MAX_PARSED_ALGEBRA_DIM
