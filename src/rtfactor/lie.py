@@ -113,10 +113,19 @@ def make_lie_algebra(structure_constants) -> LieAlgebra:
 
 
 def killing_form(g: LieAlgebra) -> list[list[Fraction]]:
-    """kappa(a, b) = trace(ad e_a . ad e_b) = sum_{m,k} f_am^k f_bk^m."""
-    br, d = g.brackets, range(g.dim)
-    return [[Fraction(sum(v * br[b][k].get(m, 0) for m in d
-                          for k, v in br[a][m].items())) for b in d] for a in d]
+    """kappa(a, b) = trace(ad e_a . ad e_b) = sum_{m,k} f_am^k f_bk^m, over
+    the nonzero constants only: f_am^k filed at (m, k) meets f_bk^m."""
+    by_slot = {}
+    for a, plane in enumerate(g.brackets):
+        for m, row in enumerate(plane):
+            for k, v in row.items():
+                by_slot.setdefault((m, k), []).append((a, v))
+    kappa = [[Fraction(0)] * g.dim for _ in range(g.dim)]
+    for (m, k), column in by_slot.items():
+        for b, w in by_slot.get((k, m), ()):
+            for a, v in column:
+                kappa[a][b] += v * w
+    return kappa
 
 
 def is_semisimple(g: LieAlgebra) -> bool:

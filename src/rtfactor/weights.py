@@ -2,7 +2,12 @@
 
 A trivalent graph with cyclic vertex orders is evaluated by contracting
 one copy of the bracket-against-pairing tensor per vertex with the
-inverse of the pairing along every edge.  The pairing may be graded by
+inverse of the pairing along every edge.  The vertices are taken in a
+greedy order picked once per graph (each step adds the vertex that
+leaves the fewest open half-edges, as in the greedy paths of tensor
+network contraction), and the contraction is a sparse join: an edge's
+inverse-pairing row is folded in when the edge opens, so closing it is
+an exact lookup.  The pairing may be graded by
 powers of h; the inverse is then the truncated series inverse.  Every
 scalar of the contraction (tensor entries, inverse-pairing entries,
 partial sums) is one ring value: a Fraction for an ungraded pairing, an
@@ -22,6 +27,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from operator import itemgetter
 
 from ._linalg import linear_combination, mat_inv, mat_mul
 from .diagram import UnionFind
@@ -36,7 +42,7 @@ from .lie import InvariantPairing, LieAlgebra, Representation
 from .ring import HSeries
 
 MAX_WEIGHT_ALGEBRA_DIM = 8
-MAX_WEIGHT_EDGES = 10
+MAX_WEIGHT_COST = 2 ** 19
 MAX_AUT_VERTICES = 8
 
 _PERMS3 = tuple(permutations(range(3)))
@@ -103,17 +109,19 @@ def _owners(vertices) -> dict:
     return {h: i for i, v in enumerate(vertices) for h in v}
 
 
-def _is_connected(vertices, legs, edges) -> bool:
-    nodes = list(range(len(vertices))) + [("leg", l) for l in legs]
-    if len(nodes) <= 1:
-        return True
+def _components(vertices, legs, edges) -> UnionFind:
+    """Vertex indices and ("leg", l) nodes, joined along the edges."""
     owner = _owners(vertices)
-    for l in legs:
-        owner[l] = ("leg", l)
-    components = UnionFind(nodes)
+    owner.update((l, ("leg", l)) for l in legs)
+    components = UnionFind(list(range(len(vertices)))
+                           + [("leg", l) for l in legs])
     for a, b in edges:
         components.union(owner[a], owner[b])
-    return components.class_count() == 1
+    return components
+
+
+def _is_connected(vertices, legs, edges) -> bool:
+    return _components(vertices, legs, edges).class_count() <= 1
 
 
 def theta_graph() -> JacobiGraph:
@@ -223,70 +231,124 @@ def _graded_inverse(orders):
 
 
 def _edge_scalars(pairing: InvariantPairing):
-    """Entries of the inverse pairing as ring values."""
+    """Nonzero entries of the inverse pairing as ring values, by row:
+    prop[r] = {c: value}."""
     inv = _graded_inverse(pairing.orders)
     m = len(inv)
-    dim = len(inv[0])
-    return [[_ring_value([inv[k][r][c] for k in range(m)], m)
-             for c in range(dim)] for r in range(dim)]
+    return [{c: _ring_value(coeffs, m)
+             for c, coeffs in enumerate(zip(*(order[r] for order in inv)))
+             if any(coeffs)} for r in range(len(inv[0]))]
 
 
 def _vertex_tensor(g: LieAlgebra, pairing: InvariantPairing,
                    classical_vertex: bool):
-    """Sparse map (a, b, c) -> <[e_a, e_b], e_c> as a ring value."""
-    dim = g.dim
-    m = len(pairing.orders)
+    """Sparse map (a, b, c) -> <[e_a, e_b], e_c> as a ring value, summed
+    over the nonzero brackets and pairing entries only."""
     grades = pairing.orders[:1] if classical_vertex else pairing.orders
+    grades = [[{c: v for c, v in enumerate(row) if v} for row in grade]
+              for grade in grades]
     tensor = {}
-    for a in range(dim):
-        for b in range(dim):
-            row = g.brackets[a][b]
-            if not row:
-                continue
-            for c in range(dim):
-                vals = [sum(v * grade[x][c] for x, v in row.items())
-                        for grade in grades]
+    for a, plane in enumerate(g.brackets):
+        for b, row in enumerate(plane):
+            sums = {}
+            for x, f in row.items():
+                for k, grade in enumerate(grades):
+                    for c, v in grade[x].items():
+                        sums.setdefault(c, [0] * len(grades))[k] += f * v
+            for c, vals in sums.items():
                 if any(vals):
-                    tensor[(a, b, c)] = _ring_value(vals, m)
+                    tensor[(a, b, c)] = _ring_value(vals, len(pairing.orders))
     return tensor
 
 
-def _contract(node_tensors, partner, prop, unit):
-    """Contract vertex tensors against edge scalars by a moving frontier.
+def _setup(g: LieAlgebra, pairing: InvariantPairing, classical_vertex: bool):
+    """Inverse-pairing rows, vertex tensor and the ring's one: built once
+    per weight or relation check."""
+    return (_edge_scalars(pairing),
+            _vertex_tensor(g, pairing, classical_vertex),
+            _ring_value((1,), len(pairing.orders)))
 
-    node_tensors: list of (half_edges, sparse tensor {indices: scalar}).
-    partner: half-edge matching; unit: the ring's one.  Returns the
-    closed-graph scalar.
+
+def _order(dim: int, nodes, partner, extra: int = 0) -> list:
+    """Greedy contraction order of the nodes (tuples of half-edges), and
+    its size guard: dim^(peak open half-edges) per node, plus ``extra``.
+
+    Each step takes the node that leaves the fewest open half-edges; on a
+    tie, the one with the most edges to contracted nodes and their
+    neighbours (so a ladder is walked rung by rung), then the first
+    listed.
     """
-    frontier = {(): unit}
-    for halves, tensor in node_tensors:
-        own = set(halves)
-        new_frontier = {}
+    owner = _owners(nodes)
+    done = {}  # insertion-ordered: the order so far
+    open_count = peak = 0
+
+    def key(i):
+        ends = [owner[partner[h]] for h in nodes[i]]
+        return (open_count + sum(-1 if q in done else q != i for q in ends),
+                -sum(q != i and q in reached for q in ends))
+
+    for _ in nodes:
+        reached = {owner[partner[h]] for j in done for h in nodes[j]}
+        best = min((i for i in range(len(nodes)) if i not in done), key=key)
+        open_count = key(best)[0]
+        peak = max(peak, open_count)
+        done[best] = None
+    check_size(f"weight contraction of {len(nodes)} nodes, peak frontier "
+               f"{peak}, estimate", dim ** peak * len(nodes) + extra,
+               MAX_WEIGHT_COST)
+    return list(done)
+
+
+def _picker(positions):
+    """key -> the tuple of its entries at ``positions``."""
+    if len(positions) == 1:
+        return lambda key, p=positions[0]: (key[p],)
+    return itemgetter(*positions) if positions else lambda key: ()
+
+
+def _contract(nodes, partner, prop, unit):
+    """Contract (half_edges, sparse tensor) nodes in the order given (see
+    _order) against the inverse-pairing rows prop[r] = {c: scalar}.
+
+    All frontier keys of a step share the open edges and hold, per open
+    edge, the index its far end must carry: when a half-edge opens with
+    index r, its row prop[r] is folded in.  Each node tensor is grouped
+    by the indices of its slots that close open edges, so closing them
+    is one exact lookup per key; an edge with both ends at the node
+    closes inside the group.  unit is the ring's one.
+    """
+    waiting, frontier = [], {(): unit}  # waiting: the open edges' far ends
+    for halves, tensor in nodes:
+        slot = {h: s for s, h in enumerate(halves)}
+        at = {h: k for k, h in enumerate(waiting)}
+        closing = [s for s, h in enumerate(halves) if h in at]
+        inner = [(slot[partner[h]], s) for s, h in enumerate(halves)
+                 if partner[h] in slot and partner[h] < h]
+        opening = [s for s, h in enumerate(halves)
+                   if h not in at and partner[h] not in slot]
+        groups = {}
+        for indices, value in tensor.items():
+            for s, t in inner:
+                value = value * prop[indices[s]].get(indices[t], 0)
+            opened = [((), value)] if value else []
+            for s in opening:
+                opened = [(key + (c,), v * f) for key, v in opened
+                          for c, f in prop[indices[s]].items()]
+            group = groups.setdefault(tuple(indices[s] for s in closing), {})
+            for key, v in opened:
+                group[key] = group[key] + v if key in group else v
+        kept = [k for k, h in enumerate(waiting) if h not in slot]
+        closed_part = _picker([at[halves[s]] for s in closing])
+        kept_part, new_frontier = _picker(kept), {}
         for key, amp in frontier.items():
-            pending = dict(key)
-            for indices, tval in tensor.items():
-                weight = amp * tval
-                local = dict(zip(halves, indices))
-                next_pending = dict(pending)
-                for h, idx in zip(halves, indices):
-                    p = partner[h]
-                    if p in next_pending:
-                        weight = weight * prop[next_pending.pop(p)][idx]
-                    elif p in own:
-                        if p < h:  # both ends of a self-edge land here; once
-                            weight = weight * prop[local[p]][idx]
-                    else:
-                        next_pending[h] = idx
-                    if not weight:
-                        break
-                else:
-                    new_key = tuple(sorted(next_pending.items()))
-                    prior = new_frontier.get(new_key)
-                    new_frontier[new_key] = (weight if prior is None
-                                             else prior + weight)
+            rest = kept_part(key)
+            for opened, value in groups.get(closed_part(key), {}).items():
+                new_key, value = rest + opened, amp * value
+                new_frontier[new_key] = (new_frontier[new_key] + value
+                                         if new_key in new_frontier else value)
+        waiting = ([waiting[k] for k in kept]
+                   + [partner[halves[s]] for s in opening])
         frontier = new_frontier
-        if not frontier:
-            break
     return frontier.get((), 0 * unit)
 
 
@@ -295,9 +357,15 @@ def _partners(edges) -> dict:
     return {h: p for e in edges for h, p in (e, e[::-1])}
 
 
-def _guard_size(g: LieAlgebra, edge_count: int) -> None:
-    check_size("algebra dimension", g.dim, MAX_WEIGHT_ALGEBRA_DIM)
-    check_size("edge count", edge_count, MAX_WEIGHT_EDGES)
+def _plan(graph: JacobiGraph, dim: int):
+    """A closed graph's vertices in contraction order and its matching,
+    after the open-leg, algebra and cost checks."""
+    if graph.legs:
+        raise OpenGraph("weight of a graph with open legs is not a scalar")
+    check_size("algebra dimension", dim, MAX_WEIGHT_ALGEBRA_DIM)
+    partner = _partners(graph.edges)
+    order = _order(dim, graph.vertices, partner)
+    return [graph.vertices[i] for i in order], partner
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +380,9 @@ def lie_weight(graph: JacobiGraph, g: LieAlgebra, pairing: InvariantPairing,
     With ``classical_vertex`` the vertex tensor is built from the order-0
     pairing only, while edges always invert the full graded pairing.
     """
-    if graph.legs:
-        raise OpenGraph("weight of a graph with open legs is not a scalar")
-    _guard_size(g, len(graph.edges))
-    prop = _edge_scalars(pairing)
-    tensor = _vertex_tensor(g, pairing, classical_vertex)
-    nodes = [(v, tensor) for v in graph.vertices]
-    unit = _ring_value((1,), len(pairing.orders))
-    return _contract(nodes, _partners(graph.edges), prop, unit)
+    vertices, partner = _plan(graph, g.dim)
+    prop, tensor, unit = _setup(g, pairing, classical_vertex)
+    return _contract([(v, tensor) for v in vertices], partner, prop, unit)
 
 
 def _fermion_cycles(graph: BicoloredGraph):
@@ -351,18 +414,23 @@ def coupled_weight(graph: BicoloredGraph, g: LieAlgebra, rho: Representation,
 
     Gauge vertices and edges contract exactly as in lie_weight.  Each
     fermion cycle contributes minus the trace of the product of rho
-    matrices collected along it, as a tensor in its gauge indices; each
-    vertex-free fermion loop contributes a bare factor of -dim(rho).
+    matrices collected along it, as a tensor in its gauge indices and
+    one node of the contraction order; each vertex-free fermion loop
+    contributes a bare factor of -dim(rho).
     """
     if graph.legs:
         raise OpenGraph("weight of a graph with open legs is not a scalar")
-    _guard_size(g, len(graph.gauge_edges) + len(graph.fermion_edges))
-    prop = _edge_scalars(pairing)
-    tensor = _vertex_tensor(g, pairing, classical_vertex)
+    check_size("algebra dimension", g.dim, MAX_WEIGHT_ALGEBRA_DIM)
+    cycles = _fermion_cycles(graph)
+    nodes = list(graph.gauge_vertices) + [tuple(v[0] for v in cycle)
+                                          for cycle in cycles]
+    partner = _partners(graph.gauge_edges)
+    order = _order(g.dim, nodes, partner,
+                   sum(g.dim ** len(cycle) for cycle in cycles))
+    prop, tensor, unit = _setup(g, pairing, classical_vertex)
     m = len(pairing.orders)
-    nodes = [(v, tensor) for v in graph.gauge_vertices]
-    for cycle in _fermion_cycles(graph):
-        halves = tuple(v[0] for v in cycle)
+    tensors = [tensor] * len(graph.gauge_vertices)
+    for cycle in cycles:
         cycle_tensor = {}
         for assignment in product(range(g.dim), repeat=len(cycle)):
             prod = None
@@ -372,9 +440,9 @@ def coupled_weight(graph: BicoloredGraph, g: LieAlgebra, rho: Representation,
             trace = -sum(prod[i][i] for i in range(rho.dim))
             if trace:
                 cycle_tensor[assignment] = _ring_value((trace,), m)
-        nodes.append((halves, cycle_tensor))
-    scalar = _contract(nodes, _partners(graph.gauge_edges), prop,
-                       _ring_value((1,), m))
+        tensors.append(cycle_tensor)
+    scalar = _contract([(nodes[i], tensors[i]) for i in order], partner,
+                       prop, unit)
     return scalar * Fraction(-rho.dim) ** graph.fermion_loops
 
 
@@ -422,23 +490,28 @@ def _ihx_triple(graph: JacobiGraph, edge):
 def check_AS_IHX(g: LieAlgebra, pairing: InvariantPairing,
                  family) -> RelationReport:
     """Antisymmetry and the three-term edge relation, graph by graph."""
+    prop, tensor, unit = _setup(g, pairing, False)
+
+    def weight(graph):
+        vertices, partner = _plan(graph, g.dim)
+        return _contract([(v, tensor) for v in vertices], partner, prop, unit)
+
     failures = []
     for idx, graph in enumerate(family):
-        base = lie_weight(graph, g, pairing)
+        base = weight(graph)
         for vi in range(len(graph.vertices)):
             vertices = list(graph.vertices)
             vertices[vi] = vertices[vi][::-1]
             flipped = JacobiGraph(tuple(vertices), graph.legs, graph.edges,
                                   graph.connected)
-            if lie_weight(flipped, g, pairing) != -base:
+            if weight(flipped) != -base:
                 failures.append(("AS", idx, f"vertex {vi}"))
         for edge in graph.edges:
             rewrites = _ihx_triple(graph, edge)
             if rewrites is None:
                 continue
             second, third = rewrites
-            total = (base - lie_weight(second, g, pairing)
-                     + lie_weight(third, g, pairing))
+            total = base - weight(second) + weight(third)
             if total:
                 failures.append(("IHX", idx, f"edge {edge}"))
     return RelationReport(not failures, tuple(failures))
@@ -469,46 +542,54 @@ def symmetry_factor(graph: JacobiGraph) -> int:
 
     A symmetry permutes vertices and half-edges compatibly with the edge
     matching; the cyclic orders do not constrain it, matching the way
-    the diagram sum divides by vertex and edge permutations.
+    the diagram sum divides by vertex and edge permutations.  Counted per
+    connected component: one with legs maps to itself, and m isomorphic
+    leg-free components C give m! |Aut(C)|^m.
     """
     check_size("vertex count", len(graph.vertices), MAX_AUT_VERTICES)
-    verts = graph.vertices
-    partner = _partners(graph.edges)
-    legs = set(graph.legs)
-    hmap = {l: l for l in legs}
-    used = [False] * len(verts)
-    count = 0
+    partner, legs = _partners(graph.edges), set(graph.legs)
+    components = _components(graph.vertices, graph.legs, graph.edges)
+    members = {}
+    for node in components.parent:
+        members.setdefault(components.find(node), []).append(node)
+    count, free = 1, []  # free: the leg-free components so far
+    for nodes in members.values():
+        verts = [graph.vertices[n] for n in nodes if type(n) is int]
+        count *= _count_maps(verts, verts, partner, legs)
+        if len(verts) == len(nodes):  # m! |Aut(C)|^m, one factor at a time
+            count *= 1 + sum(len(c) == len(verts) and _count_maps(
+                verts, c, partner, legs) > 0 for c in free)
+            free.append(verts)
+    return count
 
-    def compatible(h, target):
-        p = partner.get(h)
-        if p is None:
-            return True
-        if p in hmap:
-            return partner.get(target) == hmap[p]
-        if partner.get(target) in legs:
-            return False
-        return True
+
+def _count_maps(source, target, partner, legs) -> int:
+    """Bijections of the vertices ``source`` onto ``target``, each vertex
+    sent with one of the six orders of its half-edges, that carry the
+    edge matching along and fix the legs."""
+    hmap = {l: l for l in legs}
+    used = [False] * len(target)
+    count = 0
 
     def descend(i):
         nonlocal count
-        if i == len(verts):
+        if i == len(source):
             count += 1
             return
-        source = verts[i]
-        for j, target_vertex in enumerate(verts):
+        for j, target_vertex in enumerate(target):
             if used[j]:
                 continue
             for perm in _PERMS3:
-                images = [target_vertex[p] for p in perm]
                 placed = []
-                ok = True
-                for h, tgt in zip(source, images):
-                    if not compatible(h, tgt):
-                        ok = False
+                images = (target_vertex[k] for k in perm)
+                for h, image in zip(source[i], images):
+                    p = partner[h]
+                    if (partner[image] != hmap[p] if p in hmap
+                            else partner[image] in legs):
                         break
-                    hmap[h] = tgt
+                    hmap[h] = image
                     placed.append(h)
-                if ok:
+                else:
                     used[j] = True
                     descend(i + 1)
                     used[j] = False

@@ -62,6 +62,11 @@ def _prism(sides):
         [(3 * v, 3 * v + 1, 3 * v + 2) for v in range(2 * sides)], (), edges)
 
 
+def _sl3_killing():
+    g, _ = builtin("sl3")
+    return g, InvariantPairing((tuple(map(tuple, lie.killing_form(g))),))
+
+
 # one vertex with a loop and a leg
 _LOOP_AND_LEG = weights.make_jacobi_graph([(0, 1, 2)], [3], [(0, 1), (2, 3)])
 
@@ -167,10 +172,16 @@ GUARDS = {
                                    _identity_pairing(9)),
         ("algebra dimension", 9, weights.MAX_WEIGHT_ALGEBRA_DIM),
         (weights, "_edge_scalars")),
-    "weights-edges": (
+    "weights-cost": (  # 18 vertices, 5 open half-edges at the peak
+        lambda: weights.lie_weight(_prism(9), *_sl3_killing()),
+        ("weight contraction of 18 nodes, peak frontier 5, estimate",
+         18 * 8 ** 5, weights.MAX_WEIGHT_COST),
+        (weights, "_edge_scalars")),
+    "weights-fermion-cycle": (  # one cycle tensor of 8^8 entries
         lambda: weights.coupled_weight(weights.fermion_wheel(8),
-                                       *builtin("sl2"), _identity_pairing(3)),
-        ("edge count", 12, weights.MAX_WEIGHT_EDGES),
+                                       *builtin("sl3"), _identity_pairing(8)),
+        ("weight contraction of 1 nodes, peak frontier 0, estimate",
+         1 + 8 ** 8, weights.MAX_WEIGHT_COST),
         (weights, "_edge_scalars")),
     "weights-symmetry": (
         lambda: weights.symmetry_factor(
@@ -226,14 +237,11 @@ ADMITTED = {
         (0, 0)),
     "clifford-hh0": (
         lambda: clifford.hh0_dimension(clifford.MAX_HH_DIM), 1),
-    # No closed trivalent graph has 10 edges (it has 3V/2), so 9 is the
-    # most the edge guard admits.  Abelian structure constants vanish.
-    "weights-algebra-and-edges": (
-        lambda: weights.lie_weight(
-            _thetas(3),
-            builtin(f"abelian({weights.MAX_WEIGHT_ALGEBRA_DIM})")[0],
-            _identity_pairing(weights.MAX_WEIGHT_ALGEBRA_DIM)),
-        0),
+    # sl3 has the largest dimension admitted; the 8-sided prism costs
+    # 16 * 8^5, exactly the limit, and takes well under a second.
+    "weights-algebra-and-cost": (
+        lambda: weights.lie_weight(_prism(8), *_sl3_killing()),
+        Fraction(4147, 3888)),
     "weights-symmetry": (  # the cube graph
         lambda: weights.symmetry_factor(_prism(weights.MAX_AUT_VERTICES // 2)),
         48),
@@ -256,6 +264,7 @@ def test_guard_admits_its_limit(name):
 
 # Guards a command line reaches, one above the limit: (argv, message)
 _FOUR_THETAS = weights.graph_to_json(_thetas(4))
+_PRISM_9 = weights.graph_to_json(_prism(9))
 CLI_REFUSALS = [
     (["expand", "--poly", "q", "--order", "101"],
      _message("series order", 101, 100)),
@@ -271,8 +280,9 @@ CLI_REFUSALS = [
      _message("cochain count", 8 * 4095, 2 ** 14)),
     (["weights", "--algebra", "abelian(9)", "--graph", _FOUR_THETAS],
      _message("algebra dimension", 9, 8)),
-    (["weights", "--algebra", "sl2", "--graph", _FOUR_THETAS],
-     _message("edge count", 12, 10)),
+    (["weights", "--algebra", "sl3", "--graph", _PRISM_9],
+     _message("weight contraction of 18 nodes, peak frontier 5, estimate",
+              18 * 8 ** 5, 2 ** 19)),
     (["bracket", "--link", "B2:" + ",".join(["1"] * 1415)],
      _message("bracket sweep of 1415 crossings, peak 4 open ends, estimate",
               1415 ** 2, 2_000_000)),

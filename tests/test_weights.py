@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -20,6 +21,7 @@ from rtfactor.lie import (
     builtin,
     killing_form,
 )
+from rtfactor import weights
 from rtfactor.ring import HSeries, series_exp, series_log, series_inverse
 from rtfactor.weights import (
     BicoloredGraph,
@@ -103,11 +105,14 @@ def test_size_guards():
         for i in range(9)),))
     with pytest.raises(DimensionTooLarge):
         lie_weight(theta_graph(), g, pairing)
+    # Twelve edges, refused by the old edge count, cost 8 * 3^3 now.
     big = disjoint_union(disjoint_union(theta_graph(), theta_graph()),
                          disjoint_union(theta_graph(), theta_graph()))
-    g2, _ = builtin("sl2")
-    with pytest.raises(DimensionTooLarge):
-        lie_weight(big, g2, _killing_pairing(g2))
+    g2, rho = builtin("sl2")
+    assert lie_weight(big, g2, _killing_pairing(g2)) == 3 ** 4
+    # The twelve-spoke wheel's cycle tensor alone has 3^12 entries.
+    with pytest.raises(DimensionTooLarge, match="estimate 531442 exceeds"):
+        coupled_weight(fermion_wheel(12), g2, rho, _killing_pairing(g2))
 
 
 def test_graded_pairing_weight_expands_order_by_order():
@@ -379,3 +384,221 @@ def test_graded_wheel_scales_by_gauge_edges(spokes):
     loops = make_bicolored_graph(fermion_loops=2)
     assert (coupled_weight(loops, g, rho, _graded_killing(g, a, order))
             == HSeries.const(rho.dim ** 2, order))
+
+
+# ---------------------------------------------------------------------------
+# The file-order scan that the greedy sparse join replaced, as an oracle
+# ---------------------------------------------------------------------------
+
+def _scan_contract(node_tensors, partner, prop, unit):
+    """Vertices in listing order; every tensor entry is tried against every
+    frontier key, with prop a dense matrix of ring values."""
+    frontier = {(): unit}
+    for halves, tensor in node_tensors:
+        own = set(halves)
+        new_frontier = {}
+        for key, amp in frontier.items():
+            pending = dict(key)
+            for indices, tval in tensor.items():
+                weight = amp * tval
+                local = dict(zip(halves, indices))
+                next_pending = dict(pending)
+                for h, idx in zip(halves, indices):
+                    p = partner[h]
+                    if p in next_pending:
+                        weight = weight * prop[next_pending.pop(p)][idx]
+                    elif p in own:
+                        if p < h:
+                            weight = weight * prop[local[p]][idx]
+                    else:
+                        next_pending[h] = idx
+                    if not weight:
+                        break
+                else:
+                    new_key = tuple(sorted(next_pending.items()))
+                    prior = new_frontier.get(new_key)
+                    new_frontier[new_key] = (weight if prior is None
+                                             else prior + weight)
+        frontier = new_frontier
+        if not frontier:
+            break
+    return frontier.get((), 0 * unit)
+
+
+def _scan_setup(g, pairing, classical_vertex):
+    """Dense inverse pairing and the vertex tensor from every pairing cell."""
+    inv = weights._graded_inverse(pairing.orders)
+    m, dim = len(inv), g.dim
+    prop = [[weights._ring_value([inv[k][r][c] for k in range(m)], m)
+             for c in range(dim)] for r in range(dim)]
+    grades = pairing.orders[:1] if classical_vertex else pairing.orders
+    tensor = {}
+    for a, b, c in product(range(dim), repeat=3):
+        vals = [sum(v * grade[x][c] for x, v in g.brackets[a][b].items())
+                for grade in grades]
+        if any(vals):
+            tensor[(a, b, c)] = weights._ring_value(vals, m)
+    return prop, tensor, weights._ring_value((1,), m)
+
+
+def _scan_lie_weight(graph, g, pairing, classical_vertex=False):
+    prop, tensor, unit = _scan_setup(g, pairing, classical_vertex)
+    return _scan_contract([(v, tensor) for v in graph.vertices],
+                          weights._partners(graph.edges), prop, unit)
+
+
+def _scan_coupled_weight(graph, g, rho, pairing, classical_vertex=False):
+    prop, tensor, unit = _scan_setup(g, pairing, classical_vertex)
+    nodes = [(v, tensor) for v in graph.gauge_vertices]
+    for cycle in weights._fermion_cycles(graph):
+        cycle_tensor = {}
+        for assignment in product(range(g.dim), repeat=len(cycle)):
+            prod = rho.matrices[assignment[0]]
+            for a in assignment[1:]:
+                prod = mat_mul(rho.matrices[a], prod)
+            trace = -sum(prod[i][i] for i in range(rho.dim))
+            if trace:
+                cycle_tensor[assignment] = weights._ring_value(
+                    (trace,), len(pairing.orders))
+        nodes.append((tuple(v[0] for v in cycle), cycle_tensor))
+    scalar = _scan_contract(nodes, weights._partners(graph.gauge_edges),
+                            prop, unit)
+    return scalar * Fraction(-rho.dim) ** graph.fermion_loops
+
+
+def _pairings(g):
+    """Plain Killing, graded (1 + 3h/2) Killing, and the graded one with
+    order-0 vertices, with the value type each weight must have."""
+    graded = _graded_killing(g, Fraction(3, 2), 2)
+    return [(_killing_pairing(g), False, Fraction),
+            (graded, False, HSeries), (graded, True, HSeries)]
+
+
+@pytest.mark.parametrize("name, seed, max_vertices",
+                         [("sl2", 21, 6), ("so3", 22, 6), ("sl3", 23, 4)])
+def test_greedy_join_matches_file_order_scan(name, seed, max_vertices):
+    g, _ = builtin(name)
+    family = generate_trivalent_family(max_vertices, random.Random(seed))
+    for pairing, classical_vertex, kind in _pairings(g):
+        for graph in family:
+            weight = lie_weight(graph, g, pairing, classical_vertex)
+            oracle = _scan_lie_weight(graph, g, pairing, classical_vertex)
+            assert type(weight) is type(oracle) is kind
+            assert repr(weight) == repr(oracle)
+
+
+@pytest.mark.parametrize("name", ["sl2", "so3"])
+def test_coupled_weights_match_file_order_scan(name):
+    g, rho = builtin(name)
+    # A gauge vertex joined to a three-vertex fermion cycle, and wheels.
+    tripod = make_bicolored_graph(
+        [(0, 1, 2)], [(3, 4, 5), (6, 7, 8), (9, 10, 11)], (),
+        [(0, 3), (1, 6), (2, 9)], [(4, 8), (7, 11), (10, 5)])
+    for graph in (fermion_wheel(2), fermion_wheel(4), tripod):
+        for pairing, classical_vertex, kind in _pairings(g):
+            weight = coupled_weight(graph, g, rho, pairing, classical_vertex)
+            oracle = _scan_coupled_weight(graph, g, rho, pairing,
+                                          classical_vertex)
+            assert type(weight) is type(oracle) is kind
+            assert repr(weight) == repr(oracle)
+
+
+def test_weight_ignores_labels_and_listing_order():
+    # Relabelling half-edges, listing the vertices in another order and
+    # rotating each vertex triple (its cyclic order is kept) give the
+    # same graph, so the same weight whatever order the greedy picks.
+    rng = random.Random(31)
+    for name in ("sl2", "so3", "sl3"):
+        g, _ = builtin(name)
+        pairing = _killing_pairing(g)
+        for graph in generate_trivalent_family(6, random.Random(3))[1:]:
+            labels = [h for v in graph.vertices for h in v]
+            fresh = dict(zip(labels, rng.sample(range(100, 200), len(labels))))
+            vertices = [tuple(fresh[h] for h in v[k:] + v[:k])
+                        for v, k in ((v, rng.randrange(3))
+                                     for v in graph.vertices)]
+            rng.shuffle(vertices)
+            edges = [(fresh[a], fresh[b]) for a, b in graph.edges]
+            moved = make_jacobi_graph(vertices, (), edges)
+            assert (lie_weight(moved, g, pairing)
+                    == lie_weight(graph, g, pairing))
+
+
+def test_sl3_probe_graphs_pinned():
+    # Graphs 6-9 of this family took up to 6 s each in listing order.
+    g, _ = builtin("sl3")
+    family = generate_trivalent_family(6, random.Random(3))
+    assert [lie_weight(graph, g, _killing_pairing(g))
+            for graph in family[6:10]] == [-8, 8, 8, 4]
+
+
+def _enumerate_automorphisms(graph):
+    """One automorphism at a time over the whole graph: the enumerator
+    that symmetry_factor's per-component count replaced."""
+    verts = graph.vertices
+    partner = weights._partners(graph.edges)
+    legs = set(graph.legs)
+    hmap = {l: l for l in legs}
+    used = [False] * len(verts)
+    count = 0
+
+    def compatible(h, target):
+        p = partner[h]
+        if p in hmap:
+            return partner[target] == hmap[p]
+        return partner[target] not in legs
+
+    def descend(i):
+        nonlocal count
+        if i == len(verts):
+            count += 1
+            return
+        for j, target_vertex in enumerate(verts):
+            if used[j]:
+                continue
+            for perm in permutations(range(3)):
+                placed = []
+                for h, p in zip(verts[i], perm):
+                    if not compatible(h, target_vertex[p]):
+                        break
+                    hmap[h] = target_vertex[p]
+                    placed.append(h)
+                else:
+                    used[j] = True
+                    descend(i + 1)
+                    used[j] = False
+                for h in placed:
+                    del hmap[h]
+
+    descend(0)
+    return count
+
+
+def test_symmetry_factor_matches_enumeration_on_small_unions():
+    loops = make_jacobi_graph(((0, 1, 2), (3, 4, 5)), (),
+                              ((0, 1), (3, 4), (2, 5)))
+    loop_and_leg = make_jacobi_graph(((0, 1, 2),), (3,), ((0, 1), (2, 3)))
+    strand = make_jacobi_graph((), (0, 1), ((0, 1),))
+    family = generate_trivalent_family(4, random.Random(41))
+    pieces = [theta_graph(), loops, loop_and_leg, strand] + list(family[1:])
+    for a in pieces:
+        for b in pieces:
+            union = disjoint_union(a, b)
+            assert symmetry_factor(union) == _enumerate_automorphisms(union)
+    three = disjoint_union(disjoint_union(loops, theta_graph()), loops)
+    # theta (12) and a pair of two-loop graphs (2! * 8^2)
+    assert (symmetry_factor(three) == _enumerate_automorphisms(three)
+            == 12 * 2 * 8 ** 2)
+
+
+def test_four_thetas_are_counted_not_enumerated():
+    graph = theta_graph()
+    for _ in range(3):
+        graph = disjoint_union(graph, theta_graph())
+    assert symmetry_factor(graph) == 24 * 12 ** 4 == 497664
+
+
+def test_tracer_patch_points_exist():
+    # perfbench/tracing.py wraps these two names of the weights module by
+    # getattr with no default; without them its --trace 1 runs fail.
+    assert callable(weights.mat_inv) and callable(weights.mat_mul)
