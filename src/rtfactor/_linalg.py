@@ -16,7 +16,7 @@ integral values as ints, several times cheaper than Fractions.  Dense
 matrices are lists-of-lists over an exact ring (Fraction, or any type with
 +, -, * and a truthy zero test), for the small matrices of pairings and
 representations; ``mat_mul`` takes the ring's zero as an argument and
-``mat_inv`` stays plain Gauss-Jordan.  ``exact_rank`` takes either form.
+``mat_inv`` eliminates on sparse rows.  ``exact_rank`` takes either form.
 """
 from __future__ import annotations
 
@@ -118,23 +118,22 @@ def exact_rank(rows) -> int:
 
 
 def mat_inv(a):
-    """Inverse of a square Fraction matrix; raises ValueError when singular."""
+    """Inverse of a square Fraction matrix by Gauss-Jordan elimination on
+    sparse rows [A | I]; raises ValueError when singular."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(a)]
+    m = [{j: Fraction(x) for j, x in enumerate(row) if x}
+         | {n + i: Fraction(1)} for i, row in enumerate(a)]
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col]:
-                pivot = r
-                break
+        pivot = next((r for r in range(col, n) if col in m[r]), None)
         if pivot is None:
             raise ValueError("matrix is singular")
         m[col], m[pivot] = m[pivot], m[col]
         pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+        prow = m[col] = {j: x / pv for j, x in m[col].items()}
+        for r, row in enumerate(m):
+            f = row.get(col)
+            if f is not None and r != col:
+                for j, x in prow.items():
+                    row[j] = row.get(j, 0) - f * x
+                m[r] = {j: x for j, x in row.items() if x}
+    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in m]

@@ -37,7 +37,7 @@ from .ring import (MAX_SERIES_ORDER, format_hseries, format_laurent,
                    parse_laurent)
 from .rt import (framed_invariant, hbar_expand_invariant, jones_from_quantum,
                  writhe_corrected_invariant)
-from .weights import (BicoloredGraph, coupled_weight, graph_from_json,
+from .weights import (BicoloredGraph, _plan, coupled_weight, graph_from_json,
                       lie_weight, symmetry_factor)
 
 _DEFAULT_SAMPLES = 512
@@ -283,8 +283,10 @@ def _cmd_weights(args) -> int:
         weight = coupled_weight(graph, g, rep, pairing)
         _emit(args, [f"weight = {weight}"], {"weight": str(weight)})
         return 0
-    weight = lie_weight(graph, g, pairing)
+    # The contraction's guards, then the symmetry factor's, refuse first.
+    _plan(graph, g.dim)
     sym = symmetry_factor(graph)
+    weight = lie_weight(graph, g, pairing)
     _emit(args, [f"weight = {weight}", f"symmetry_factor = {sym}"],
           {"weight": str(weight), "symmetry_factor": sym})
     return 0

@@ -7,14 +7,17 @@ greedy order picked once per graph (each step adds the vertex that
 leaves the fewest open half-edges, as in the greedy paths of tensor
 network contraction), and the contraction is a sparse join: an edge's
 inverse-pairing row is folded in when the edge opens, so closing it is
-an exact lookup.  The pairing may be graded by
-powers of h; the inverse is then the truncated series inverse.  Every
-scalar of the contraction (tensor entries, inverse-pairing entries,
-partial sums) is one ring value: a Fraction for an ungraded pairing, an
-HSeries truncated at the pairing's top order for a graded one, and the
-weight comes back as the same type.  A variant with a second edge color
-and directed fermion lines computes the weights of the gauge-fermion
-coupled theory, where closed fermion cycles turn into traces.
+an exact lookup.  The pairing may be graded by powers of h; the inverse
+is then the truncated series inverse.  Once per call, the inverse
+pairing is scaled by Dp, the lcm of its denominators, and the vertex
+tensor by its own lcm Dt, so every scalar of the contraction has integer
+coefficients: an int for an ungraded pairing, an HSeries truncated at
+the pairing's top order for a graded one.  Each vertex contributes one
+tensor entry and each edge one inverse-pairing entry, so one division by
+Dt^V Dp^E at the end gives the weight, a Fraction or an HSeries.  A
+variant with a second edge color and directed fermion lines computes the
+weights of the gauge-fermion coupled theory, where closed fermion cycles
+turn into traces (each cycle tensor with its own lcm).
 
 Weights here are the algebraic halves of perturbative invariants; the
 analytic integrals multiplying them per graph are deliberately out of
@@ -26,10 +29,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
+from math import lcm
 from operator import itemgetter
 
-from ._linalg import linear_combination, mat_inv, mat_mul
+from ._linalg import (linear_combination, mat_inv, mat_mul, row_mul_add,
+                      sparse_rows)
 from .diagram import UnionFind
 from .errors import (
     OpenFermionPath,
@@ -203,16 +208,25 @@ def fermion_wheel(spokes: int) -> BicoloredGraph:
 
 
 # ---------------------------------------------------------------------------
-# Ring values: Fraction for an ungraded pairing, HSeries for a graded one
+# Ring values: integer coefficients, divided once at the end
 # ---------------------------------------------------------------------------
 
 def _ring_value(coeffs, m: int):
-    """The per-order coefficients c_0 + c_1 h + ... as one scalar: a
-    Fraction when the pairing has a single order, else an HSeries
-    truncated past h^(m-1)."""
+    """The per-order integer coefficients c_0 + c_1 h + ... as one scalar:
+    an int when the pairing has a single order, else an HSeries truncated
+    past h^(m-1)."""
     if m == 1:
-        return Fraction(coeffs[0])
+        return coeffs[0]
     return HSeries.make(m - 1, coeffs)
+
+
+def _integral(rows, m: int):
+    """Dicts {key: per-order rational coefficients} -> (the dicts times D as
+    ring values with integer coefficients, D), D the lcm of denominators."""
+    d = lcm(*(c.denominator for r in rows for cs in r.values() for c in cs))
+    return [{key: _ring_value([c.numerator * (d // c.denominator)
+                               for c in cs], m)
+             for key, cs in row.items()} for row in rows], d
 
 
 def _graded_inverse(orders):
@@ -231,42 +245,39 @@ def _graded_inverse(orders):
 
 
 def _edge_scalars(pairing: InvariantPairing):
-    """Nonzero entries of the inverse pairing as ring values, by row:
-    prop[r] = {c: value}."""
+    """Nonzero entries of the inverse pairing times Dp, the lcm of their
+    denominators, as ring values by row: (prop, Dp), prop[r] = {c: value}."""
     inv = _graded_inverse(pairing.orders)
-    m = len(inv)
-    return [{c: _ring_value(coeffs, m)
-             for c, coeffs in enumerate(zip(*(order[r] for order in inv)))
-             if any(coeffs)} for r in range(len(inv[0]))]
+    return _integral([{c: coeffs for c, coeffs in enumerate(zip(*rows))
+                       if any(coeffs)} for rows in zip(*inv)], len(inv))
 
 
 def _vertex_tensor(g: LieAlgebra, pairing: InvariantPairing,
                    classical_vertex: bool):
-    """Sparse map (a, b, c) -> <[e_a, e_b], e_c> as a ring value, summed
-    over the nonzero brackets and pairing entries only."""
+    """Sparse map (a, b, c) -> <[e_a, e_b], e_c> times Dt, the lcm of its
+    denominators, as ring values, summed over the nonzero brackets and
+    pairing entries only: (tensor, Dt)."""
     grades = pairing.orders[:1] if classical_vertex else pairing.orders
-    grades = [[{c: v for c, v in enumerate(row) if v} for row in grade]
-              for grade in grades]
-    tensor = {}
+    grades = [sparse_rows(grade) for grade in grades]
+    sums = {}
     for a, plane in enumerate(g.brackets):
         for b, row in enumerate(plane):
-            sums = {}
             for x, f in row.items():
                 for k, grade in enumerate(grades):
                     for c, v in grade[x].items():
-                        sums.setdefault(c, [0] * len(grades))[k] += f * v
-            for c, vals in sums.items():
-                if any(vals):
-                    tensor[(a, b, c)] = _ring_value(vals, len(pairing.orders))
-    return tensor
+                        cell = sums.setdefault((a, b, c), [0] * len(grades))
+                        cell[k] += f * v
+    [tensor], dt = _integral([{key: vals for key, vals in sums.items()
+                               if any(vals)}], len(pairing.orders))
+    return tensor, dt
 
 
 def _setup(g: LieAlgebra, pairing: InvariantPairing, classical_vertex: bool):
-    """Inverse-pairing rows, vertex tensor and the ring's one: built once
-    per weight or relation check."""
-    return (_edge_scalars(pairing),
-            _vertex_tensor(g, pairing, classical_vertex),
-            _ring_value((1,), len(pairing.orders)))
+    """Integral inverse-pairing rows and vertex tensor, the ring's one, and
+    their scales Dp and Dt: built once per weight or relation check."""
+    prop, dp = _edge_scalars(pairing)
+    tensor, dt = _vertex_tensor(g, pairing, classical_vertex)
+    return prop, tensor, _ring_value((1,), len(pairing.orders)), dp, dt
 
 
 def _order(dim: int, nodes, partner, extra: int = 0) -> list:
@@ -279,20 +290,24 @@ def _order(dim: int, nodes, partner, extra: int = 0) -> list:
     listed.
     """
     owner = _owners(nodes)
-    done = {}  # insertion-ordered: the order so far
+    ends = [[owner[partner[h]] for h in node] for node in nodes]
+    done, reached = {}, set()  # done is insertion-ordered: the order so far
     open_count = peak = 0
 
     def key(i):
-        ends = [owner[partner[h]] for h in nodes[i]]
-        return (open_count + sum(-1 if q in done else q != i for q in ends),
-                -sum(q != i and q in reached for q in ends))
+        opened = touched = 0
+        for q in ends[i]:
+            if q != i:
+                opened += -1 if q in done else 1
+                touched += q in reached
+        return open_count + opened, -touched
 
     for _ in nodes:
-        reached = {owner[partner[h]] for j in done for h in nodes[j]}
         best = min((i for i in range(len(nodes)) if i not in done), key=key)
         open_count = key(best)[0]
         peak = max(peak, open_count)
         done[best] = None
+        reached.update(ends[best])
     check_size(f"weight contraction of {len(nodes)} nodes, peak frontier "
                f"{peak}, estimate", dim ** peak * len(nodes) + extra,
                MAX_WEIGHT_COST)
@@ -368,6 +383,14 @@ def _plan(graph: JacobiGraph, dim: int):
     return [graph.vertices[i] for i in order], partner
 
 
+def _weight(vertices, partner, setup):
+    """The integer contraction of a _plan with a _setup, divided once by
+    Dt^V Dp^E (each edge is one pair of partners)."""
+    prop, tensor, unit, dp, dt = setup
+    return (_contract([(v, tensor) for v in vertices], partner, prop, unit)
+            * Fraction(1, dt ** len(vertices) * dp ** (len(partner) // 2)))
+
+
 # ---------------------------------------------------------------------------
 # Weights
 # ---------------------------------------------------------------------------
@@ -381,8 +404,7 @@ def lie_weight(graph: JacobiGraph, g: LieAlgebra, pairing: InvariantPairing,
     pairing only, while edges always invert the full graded pairing.
     """
     vertices, partner = _plan(graph, g.dim)
-    prop, tensor, unit = _setup(g, pairing, classical_vertex)
-    return _contract([(v, tensor) for v in vertices], partner, prop, unit)
+    return _weight(vertices, partner, _setup(g, pairing, classical_vertex))
 
 
 def _fermion_cycles(graph: BicoloredGraph):
@@ -427,23 +449,41 @@ def coupled_weight(graph: BicoloredGraph, g: LieAlgebra, rho: Representation,
     partner = _partners(graph.gauge_edges)
     order = _order(g.dim, nodes, partner,
                    sum(g.dim ** len(cycle) for cycle in cycles))
-    prop, tensor, unit = _setup(g, pairing, classical_vertex)
-    m = len(pairing.orders)
+    prop, tensor, unit, dp, dt = _setup(g, pairing, classical_vertex)
     tensors = [tensor] * len(graph.gauge_vertices)
+    scale = dt ** len(graph.gauge_vertices) * dp ** len(graph.gauge_edges)
     for cycle in cycles:
-        cycle_tensor = {}
-        for assignment in product(range(g.dim), repeat=len(cycle)):
-            prod = None
-            for a in assignment:
-                mat = rho.matrices[a]
-                prod = mat if prod is None else mat_mul(mat, prod)
-            trace = -sum(prod[i][i] for i in range(rho.dim))
-            if trace:
-                cycle_tensor[assignment] = _ring_value((trace,), m)
+        [cycle_tensor], dc = _integral([_cycle_traces(rho, len(cycle))],
+                                       len(pairing.orders))
         tensors.append(cycle_tensor)
+        scale *= dc
     scalar = _contract([(nodes[i], tensors[i]) for i in order], partner,
                        prop, unit)
-    return scalar * Fraction(-rho.dim) ** graph.fermion_loops
+    return scalar * Fraction((-rho.dim) ** graph.fermion_loops, scale)
+
+
+def _cycle_traces(rho: Representation, k: int) -> dict:
+    """(-tr(rho_(a_k) ... rho_(a_1)),) for each index tuple where it is
+    nonzero.  A depth-first walk over sparse rows forms each nonzero
+    prefix product once; the last factor is only traced against it."""
+    mats = [sparse_rows(m) for m in rho.matrices]
+    traces = {}
+
+    def walk(prefix, prod):
+        if len(prefix) == k - 1:
+            for a, mat in enumerate(mats):
+                trace = sum(v * prod[t].get(i, 0) for i, row in enumerate(mat)
+                            for t, v in row.items())
+                if trace:
+                    traces[prefix + (a,)] = (-trace,)
+            return
+        for a, mat in enumerate(mats):
+            step = [row_mul_add({}, row, prod) for row in mat]
+            if any(v for row in step for v in row.values()):
+                walk(prefix + (a,), step)
+
+    walk((), [{i: 1} for i in range(rho.dim)])
+    return traces
 
 
 # ---------------------------------------------------------------------------
@@ -490,21 +530,19 @@ def _ihx_triple(graph: JacobiGraph, edge):
 def check_AS_IHX(g: LieAlgebra, pairing: InvariantPairing,
                  family) -> RelationReport:
     """Antisymmetry and the three-term edge relation, graph by graph."""
-    prop, tensor, unit = _setup(g, pairing, False)
+    setup = _setup(g, pairing, False)
 
     def weight(graph):
-        vertices, partner = _plan(graph, g.dim)
-        return _contract([(v, tensor) for v in vertices], partner, prop, unit)
+        return _weight(*_plan(graph, g.dim), setup)
 
     failures = []
     for idx, graph in enumerate(family):
-        base = weight(graph)
-        for vi in range(len(graph.vertices)):
-            vertices = list(graph.vertices)
-            vertices[vi] = vertices[vi][::-1]
-            flipped = JacobiGraph(tuple(vertices), graph.legs, graph.edges,
-                                  graph.connected)
-            if weight(flipped) != -base:
+        vertices, partner = _plan(graph, g.dim)
+        base = _weight(vertices, partner, setup)
+        for vi, v in enumerate(graph.vertices):
+            # A reversed cyclic order has the same ends, so the same plan.
+            flipped = [u[::-1] if u == v else u for u in vertices]
+            if _weight(flipped, partner, setup) != -base:
                 failures.append(("AS", idx, f"vertex {vi}"))
         for edge in graph.edges:
             rewrites = _ihx_triple(graph, edge)

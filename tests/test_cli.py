@@ -346,6 +346,22 @@ def test_weights_bicolored_needs_rep(capsys):
     assert Fraction(payload["weight"]) == Fraction(-3, 4)
 
 
+def test_weights_refuses_the_symmetry_factor_before_contracting(
+        capsys, monkeypatch):
+    def contracted(*args, **kwargs):
+        raise AssertionError("lie_weight ran before the refusal")
+
+    monkeypatch.setattr(cli, "lie_weight", contracted)
+    prism = {"vertices": [[3 * v, 3 * v + 1, 3 * v + 2] for v in range(10)],
+             "edges": [[3 * i + 2, 3 * (5 + i) + 2] for i in range(5)]
+             + [[3 * (b + i), 3 * (b + (i + 1) % 5) + 1]
+                for b in (0, 5) for i in range(5)]}
+    code, out, err = run_cli(capsys, "weights", "--graph", json.dumps(prism),
+                             "--algebra", "sl3")
+    assert code == 1 and out == ""
+    assert "vertex count 10 exceeds the limit 8" in err
+
+
 _LEG_GRAPH = ('{"coupling_vertices": [[0, 1, 2]], "legs": [3], '
               '"gauge_edges": [[0, 3]], "fermion_edges": [[1, 2]]}')
 

@@ -1,4 +1,5 @@
-"""exact_rank against a dense Fraction elimination oracle."""
+"""exact_rank against a dense Fraction elimination oracle; mat_inv by
+its product with the matrix."""
 
 import copy
 import random
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rtfactor._linalg import exact_rank
+from rtfactor._linalg import exact_rank, mat_inv
 from rtfactor.ce import ce_complex, defect_module, trivial_module
 from rtfactor.lie import Representation, builtin, make_lie_algebra
 
@@ -91,6 +92,42 @@ def test_tuple_rows_accepted_and_input_not_mutated():
     assert exact_rank(lists) == 2
     assert lists == before
     assert exact_rank(iter(lists)) == 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mat_inv_times_matrix_is_identity(seed):
+    # Seeded Fraction matrices up to 8 x 8, sparse (30% nonzero) and
+    # dense; the dense elimination oracle tells the singular ones apart.
+    rng = random.Random(700 + seed)
+    outcomes = set()
+    for n in range(1, 9):
+        for density in (0.3, 1.0):
+            a = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+                  if rng.random() < density else 0 for _ in range(n)]
+                 for _ in range(n)]
+            before = copy.deepcopy(a)
+            if _dense_rank(a) < n:
+                with pytest.raises(ValueError):
+                    mat_inv(a)
+                outcomes.add("singular")
+                continue
+            inv = mat_inv(a)
+            assert a == before
+            assert all(type(x) is Fraction for row in inv for x in row)
+            assert [[sum(a[i][t] * inv[t][j] for t in range(n))
+                     for j in range(n)] for i in range(n)] == [
+                [int(i == j) for j in range(n)] for i in range(n)]
+            outcomes.add("inverted")
+    assert outcomes == {"singular", "inverted"}
+
+
+def test_mat_inv_refuses_singular_matrices():
+    for a in ([[0]], [[1, 2], [2, 4]],
+              [[Fraction(1, 3), 0, 1], [0, 0, 0], [5, 6, 7]],
+              [[1, 2, 3], [4, 5, 6], [5, 7, 9]]):
+        with pytest.raises(ValueError, match="singular"):
+            mat_inv(a)
+    assert mat_inv([]) == []
 
 
 def _unimodular(rng, d):

@@ -41,8 +41,9 @@ from rtfactor.weights import (
 )
 
 
-def _killing_pairing(g):
-    return InvariantPairing((tuple(tuple(row) for row in killing_form(g)),))
+def _killing_pairing(g, scale=1):
+    return InvariantPairing((tuple(tuple(scale * x for x in row)
+                                   for row in killing_form(g)),))
 
 
 def test_theta_weight_is_dimension_for_killing():
@@ -347,9 +348,9 @@ def test_singular_pairing_is_a_domain_error():
         coupled_weight(fermion_wheel(2), g, rho, zero)
 
 
-def _graded_killing(g, a, order):
-    """G = (1 + a h) K, padded with zero matrices up to h^order."""
-    kill = tuple(tuple(row) for row in killing_form(g))
+def _graded_killing(g, a, order, scale=1):
+    """G = (1 + a h) scale K, padded with zero matrices up to h^order."""
+    kill = tuple(tuple(scale * x for x in row) for row in killing_form(g))
     zero = tuple(tuple(Fraction(0) for _ in row) for row in kill)
     scaled = tuple(tuple(a * x for x in row) for row in kill)
     return InvariantPairing((kill, scaled) + (zero,) * (order - 1))
@@ -425,11 +426,17 @@ def _scan_contract(node_tensors, partner, prop, unit):
     return frontier.get((), 0 * unit)
 
 
+def _scan_value(coeffs, m):
+    """Per-order coefficients as a Fraction, or an HSeries past h^(m-1)."""
+    return Fraction(coeffs[0]) if m == 1 else HSeries.make(m - 1, coeffs)
+
+
 def _scan_setup(g, pairing, classical_vertex):
-    """Dense inverse pairing and the vertex tensor from every pairing cell."""
+    """Dense inverse pairing and the vertex tensor from every pairing cell,
+    as Fraction or HSeries values with no denominators cleared."""
     inv = weights._graded_inverse(pairing.orders)
     m, dim = len(inv), g.dim
-    prop = [[weights._ring_value([inv[k][r][c] for k in range(m)], m)
+    prop = [[_scan_value([inv[k][r][c] for k in range(m)], m)
              for c in range(dim)] for r in range(dim)]
     grades = pairing.orders[:1] if classical_vertex else pairing.orders
     tensor = {}
@@ -437,8 +444,8 @@ def _scan_setup(g, pairing, classical_vertex):
         vals = [sum(v * grade[x][c] for x, v in g.brackets[a][b].items())
                 for grade in grades]
         if any(vals):
-            tensor[(a, b, c)] = weights._ring_value(vals, m)
-    return prop, tensor, weights._ring_value((1,), m)
+            tensor[(a, b, c)] = _scan_value(vals, m)
+    return prop, tensor, _scan_value((1,), m)
 
 
 def _scan_lie_weight(graph, g, pairing, classical_vertex=False):
@@ -458,7 +465,7 @@ def _scan_coupled_weight(graph, g, rho, pairing, classical_vertex=False):
                 prod = mat_mul(rho.matrices[a], prod)
             trace = -sum(prod[i][i] for i in range(rho.dim))
             if trace:
-                cycle_tensor[assignment] = weights._ring_value(
+                cycle_tensor[assignment] = _scan_value(
                     (trace,), len(pairing.orders))
         nodes.append((tuple(v[0] for v in cycle), cycle_tensor))
     scalar = _scan_contract(nodes, weights._partners(graph.gauge_edges),
@@ -466,12 +473,20 @@ def _scan_coupled_weight(graph, g, rho, pairing, classical_vertex=False):
     return scalar * Fraction(-rho.dim) ** graph.fermion_loops
 
 
-def _pairings(g):
-    """Plain Killing, graded (1 + 3h/2) Killing, and the graded one with
-    order-0 vertices, with the value type each weight must have."""
-    graded = _graded_killing(g, Fraction(3, 2), 2)
-    return [(_killing_pairing(g), False, Fraction),
-            (graded, False, HSeries), (graded, True, HSeries)]
+_GRADINGS = ((Fraction(3, 2), 1), (Fraction(2, 3), Fraction(3, 7)))
+
+
+def _pairings(g, gradings=_GRADINGS):
+    """Killing at scales 1, 3/7 and 5/2, and for each (a, scale) of
+    gradings the pairing (1 + a h) scale K, also with order-0 vertices;
+    with the value type each weight must have.  Scales other than 1 put
+    denominators in both the vertex tensor and the inverse pairing."""
+    pairings = [(_killing_pairing(g, scale), False, Fraction)
+                for scale in (1, Fraction(3, 7), Fraction(5, 2))]
+    for a, scale in gradings:
+        graded = _graded_killing(g, a, 1, scale)
+        pairings += [(graded, False, HSeries), (graded, True, HSeries)]
+    return pairings
 
 
 @pytest.mark.parametrize("name, seed, max_vertices",
@@ -479,7 +494,10 @@ def _pairings(g):
 def test_greedy_join_matches_file_order_scan(name, seed, max_vertices):
     g, _ = builtin(name)
     family = generate_trivalent_family(max_vertices, random.Random(seed))
-    for pairing, classical_vertex, kind in _pairings(g):
+    # The dense scan of a graded sl3 pairing takes about a second, so sl3
+    # runs only the grading with denominators in both tensors.
+    gradings = _GRADINGS[1:] if name == "sl3" else _GRADINGS
+    for pairing, classical_vertex, kind in _pairings(g, gradings):
         for graph in family:
             weight = lie_weight(graph, g, pairing, classical_vertex)
             oracle = _scan_lie_weight(graph, g, pairing, classical_vertex)
@@ -490,17 +508,81 @@ def test_greedy_join_matches_file_order_scan(name, seed, max_vertices):
 @pytest.mark.parametrize("name", ["sl2", "so3"])
 def test_coupled_weights_match_file_order_scan(name):
     g, rho = builtin(name)
-    # A gauge vertex joined to a three-vertex fermion cycle, and wheels.
+    # A gauge vertex joined to a three-vertex fermion cycle, two two-vertex
+    # cycles joined by two gauge edges, and wheels.
     tripod = make_bicolored_graph(
         [(0, 1, 2)], [(3, 4, 5), (6, 7, 8), (9, 10, 11)], (),
         [(0, 3), (1, 6), (2, 9)], [(4, 8), (7, 11), (10, 5)])
-    for graph in (fermion_wheel(2), fermion_wheel(4), tripod):
-        for pairing, classical_vertex, kind in _pairings(g):
-            weight = coupled_weight(graph, g, rho, pairing, classical_vertex)
-            oracle = _scan_coupled_weight(graph, g, rho, pairing,
-                                          classical_vertex)
-            assert type(weight) is type(oracle) is kind
-            assert repr(weight) == repr(oracle)
+    two_cycles = make_bicolored_graph(
+        (), [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)], (),
+        [(0, 6), (3, 9)], [(1, 5), (4, 2), (7, 11), (10, 8)])
+    graphs = (fermion_wheel(2), fermion_wheel(4), tripod, two_cycles)
+    for alg, rep in ((g, rho), _rescaled(g, rho)):
+        for graph in graphs:
+            for pairing, classical_vertex, kind in _pairings(alg):
+                weight = coupled_weight(graph, alg, rep, pairing,
+                                        classical_vertex)
+                oracle = _scan_coupled_weight(graph, alg, rep, pairing,
+                                              classical_vertex)
+                assert type(weight) is type(oracle) is kind
+                assert repr(weight) == repr(oracle)
+    # The weight does not depend on the basis.
+    alg, rep = _rescaled(g, rho)
+    scale = Fraction(3, 7)
+    for graph in graphs:
+        assert (coupled_weight(graph, alg, rep, _killing_pairing(alg, scale))
+                == coupled_weight(graph, g, rho, _killing_pairing(g, scale)))
+
+
+def _rescaled(g, rho):
+    """The algebra and representation in the basis e'_a = e_a / (a + 2):
+    traces along a fermion cycle then have denominators, so each cycle
+    tensor has its own scale."""
+    c = [Fraction(1, a + 2) for a in range(g.dim)]
+    f = g.structure_constants
+    return (type(g)(g.dim, tuple(tuple(tuple(
+                c[a] * c[b] / c[k] * f[a][b][k] for k in range(g.dim))
+                for b in range(g.dim)) for a in range(g.dim))),
+            Representation(rho.dim, tuple(
+                tuple(tuple(c[a] * x for x in row) for row in m)
+                for a, m in enumerate(rho.matrices))))
+
+
+def test_vanishing_weights_are_fraction_zero():
+    g, rho = builtin("sl2")
+    loops = make_jacobi_graph(((0, 1, 2), (3, 4, 5)), (),
+                              ((0, 1), (3, 4), (2, 5)))
+    zero_rho = Representation(rho.dim, tuple(
+        tuple((Fraction(0),) * rho.dim for _ in range(rho.dim))
+        for _ in rho.matrices))
+    for scale in (1, Fraction(3, 7)):
+        pairing = _killing_pairing(g, scale)
+        for weight in (lie_weight(loops, g, pairing),
+                       coupled_weight(fermion_wheel(2), g, zero_rho, pairing)):
+            assert type(weight) is Fraction and weight == 0
+
+
+def test_contraction_sees_only_ints_for_a_one_order_pairing(monkeypatch):
+    seen = []
+    contract = weights._contract
+
+    def spy(nodes, partner, prop, unit):
+        values = [unit] + [v for row in prop for v in row.values()]
+        values += [v for _, tensor in nodes for v in tensor.values()]
+        result = contract(nodes, partner, prop, unit)
+        seen.append({type(v) for v in values + [result]})
+        return result
+
+    monkeypatch.setattr(weights, "_contract", spy)
+    family = generate_trivalent_family(4, random.Random(5))
+    for g, rho in (builtin("sl2"), _rescaled(*builtin("sl3"))):
+        pairing = _killing_pairing(g, Fraction(3, 7))
+        for graph in family:
+            assert type(lie_weight(graph, g, pairing)) is Fraction
+        assert check_AS_IHX(g, pairing, family[:3]).ok
+        assert type(coupled_weight(fermion_wheel(4), g, rho,
+                                   pairing)) is Fraction
+    assert seen and all(kinds == {int} for kinds in seen)
 
 
 def test_weight_ignores_labels_and_listing_order():
