@@ -473,18 +473,20 @@ def _scan_coupled_weight(graph, g, rho, pairing, classical_vertex=False):
     return scalar * Fraction(-rho.dim) ** graph.fermion_loops
 
 
-_GRADINGS = ((Fraction(3, 2), 1), (Fraction(2, 3), Fraction(3, 7)))
+# (a, scale, order): the pairing (1 + a h) scale K, padded up to h^order.
+# Truncating at h^2 and at h^1 covers both a padded and an unpadded series.
+_GRADINGS = ((Fraction(3, 2), 1, 2), (Fraction(2, 3), Fraction(3, 7), 1))
 
 
-def _pairings(g, gradings=_GRADINGS):
-    """Killing at scales 1, 3/7 and 5/2, and for each (a, scale) of
-    gradings the pairing (1 + a h) scale K, also with order-0 vertices;
-    with the value type each weight must have.  Scales other than 1 put
+def _pairings(g):
+    """Killing at scales 1, 3/7 and 5/2, and for each (a, scale, order) of
+    _GRADINGS the graded pairing, also with order-0 vertices; with the
+    value type each weight must have.  Scales other than 1 put
     denominators in both the vertex tensor and the inverse pairing."""
     pairings = [(_killing_pairing(g, scale), False, Fraction)
                 for scale in (1, Fraction(3, 7), Fraction(5, 2))]
-    for a, scale in gradings:
-        graded = _graded_killing(g, a, 1, scale)
+    for a, scale, order in _GRADINGS:
+        graded = _graded_killing(g, a, order, scale)
         pairings += [(graded, False, HSeries), (graded, True, HSeries)]
     return pairings
 
@@ -494,10 +496,7 @@ def _pairings(g, gradings=_GRADINGS):
 def test_greedy_join_matches_file_order_scan(name, seed, max_vertices):
     g, _ = builtin(name)
     family = generate_trivalent_family(max_vertices, random.Random(seed))
-    # The dense scan of a graded sl3 pairing takes about a second, so sl3
-    # runs only the grading with denominators in both tensors.
-    gradings = _GRADINGS[1:] if name == "sl3" else _GRADINGS
-    for pairing, classical_vertex, kind in _pairings(g, gradings):
+    for pairing, classical_vertex, kind in _pairings(g):
         for graph in family:
             weight = lie_weight(graph, g, pairing, classical_vertex)
             oracle = _scan_lie_weight(graph, g, pairing, classical_vertex)
