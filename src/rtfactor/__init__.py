@@ -8,7 +8,9 @@ calculations on the other side of the correspondence.
 
 The most commonly combined names are re-exported here; each submodule keeps
 its full surface (diagram catalogs, graph weights, curve integrals, the
-acceptance suite, and the command-line front end in ``rtfactor.cli``).
+acceptance suite in ``rtfactor.acceptance``, and the command-line front end
+in ``rtfactor.cli``).  Only ``rtfactor.confint`` imports numpy, so importing
+the package does not.
 """
 
 from .ring import (
@@ -36,7 +38,6 @@ from .rt import (
     normalized_invariant,
     writhe_corrected_invariant,
 )
-from .acceptance import run_all, run_criterion
 
 __all__ = [
     "CATALOG",
@@ -62,8 +63,6 @@ __all__ = [
     "parse_laurent",
     "quantum_dimension",
     "resolve_link",
-    "run_all",
-    "run_criterion",
     "series_exp",
     "series_inverse",
     "series_log",

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from time import perf_counter
 
 from . import confint
 from ._linalg import exact_rank, mat_inv, mat_mul
@@ -82,6 +83,7 @@ class CriterionResult:
     name: str
     ok: bool
     detail: str
+    elapsed_s: float  # wall time of the criterion's check
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +437,9 @@ def run_criterion(index: int, seed: int | None = None) -> CriterionResult:
     """Run one criterion by its 1-based index."""
     name, fn = CRITERIA[index - 1]
     rng = random.Random(default_seed() if seed is None else seed)
+    start = perf_counter()
     ok, detail = fn(rng)
-    return CriterionResult(index, name, ok, detail)
+    return CriterionResult(index, name, ok, detail, perf_counter() - start)
 
 
 def run_all(seed: int | None = None) -> list[CriterionResult]:

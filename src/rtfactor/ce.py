@@ -106,18 +106,18 @@ def ce_complex(g: LieAlgebra, module: SuperModule, degrees=None) -> CochainCompl
     built = _differentials_to_build(d, dim_m, degrees)
     brackets, act = g.brackets, module.action
 
-    subsets = [list(combinations(range(d), k)) for k in range(d + 1)]
-    index = [{s: i for i, s in enumerate(level)} for level in subsets]
     spaces = tuple(comb(d, k) * dim_m for k in range(d + 1))
 
     differentials = [None] * d
     for k in built:
+        # k-subsets of the basis index the columns; rows run over (k+1)-subsets
+        index = {s: i for i, s in enumerate(combinations(range(d), k))}
         dk = [{} for _ in range(spaces[k + 1])]
-        for big in subsets[k + 1]:
-            row_base = index[k + 1][big] * dim_m
+        for big_pos, big in enumerate(combinations(range(d), k + 1)):
+            row_base = big_pos * dim_m
             for i, ti in enumerate(big):
                 rest = big[:i] + big[i + 1:]
-                col_base = index[k][rest] * dim_m
+                col_base = index[rest] * dim_m
                 sign = -1 if i % 2 else 1
                 for row, arow in zip(dk[row_base:row_base + dim_m], act[ti]):
                     for m, v in arow.items():
@@ -132,7 +132,7 @@ def ce_complex(g: LieAlgebra, module: SuperModule, degrees=None) -> CochainCompl
                             continue
                         pos = sum(1 for b in between if b < c)
                         small = tuple(sorted(between + (c,)))
-                        col = index[k][small] * dim_m
+                        col = index[small] * dim_m
                         coeff = pair_sign * fc * (1 if pos % 2 == 0 else -1)
                         for row in dk[row_base:row_base + dim_m]:
                             row[col] = row.get(col, 0) + coeff

@@ -19,14 +19,10 @@ import os
 import sys
 from fractions import Fraction
 
-from .acceptance import default_seed, run_all
 from .ce import (ce_complex, cohomology_dims, cs_deformation_cohomology,
                  defect_deformation_cohomology, module_from_representation,
                  trivial_module)
 from .clifford import partition_function_identity
-from .confint import (framed_self_linking, framing_twist_turns, gauss_linking,
-                      hopf_pair, torus_knot, twisted_circle, unit_circle,
-                      curves_from_json, writhe_integral)
 from .diagram import link_from_json, pd_from_sliced, resolve_link, writhe
 from .errors import ParseError, RTFactorError, UnknownName, check_size
 from .kauffman import jones_polynomial, kauffman_bracket
@@ -89,6 +85,8 @@ def _resolve_rep(spec: str, g: LieAlgebra) -> Representation:
 
 
 def _load_curves(spec: str, samples: int):
+    from .confint import (curves_from_json, hopf_pair, torus_knot,
+                          twisted_circle, unit_circle)
     s = spec.strip()
     if s.startswith("{") or s.startswith("["):
         return curves_from_json(s)
@@ -293,6 +291,8 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_linking(args) -> int:
+    from .confint import (framed_self_linking, framing_twist_turns,
+                          gauss_linking, writhe_integral)
     if args.epsilon <= 0:
         args.parser.error("--epsilon must be positive")
     curves = _load_curves(args.curves, args.samples)
@@ -321,18 +321,21 @@ def _cmd_linking(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .acceptance import default_seed, run_all
     seed = default_seed() if args.seed is None else args.seed
     results = run_all(seed)
     passed = sum(1 for r in results if r.ok)
     if args.format == "json":
         print(json.dumps({"seed": seed,
                           "criteria": [{"index": r.index, "name": r.name,
-                                        "ok": r.ok, "detail": r.detail}
+                                        "ok": r.ok, "detail": r.detail,
+                                        "elapsed_s": round(r.elapsed_s, 3)}
                                        for r in results]}, indent=2))
     else:
         for r in results:
             status = "PASS" if r.ok else "FAIL"
-            print(f"criterion {r.index:2d} {status} [{r.name}] {r.detail}")
+            print(f"criterion {r.index:2d} {status} [{r.name}] {r.detail} "
+                  f"({r.elapsed_s:.2f} s)")
         print(f"{passed}/{len(results)} criteria passed (seed {seed})")
     return 0 if passed == len(results) else 1
 

@@ -241,17 +241,19 @@ def _sl2_irrep(k: int) -> tuple[LieAlgebra, Representation]:
         raise UnknownName("sl2_irrep needs a nonnegative highest weight")
     check_size("sl2_irrep carrier dimension", k + 1, MAX_IRREP_DIM)
     g, _ = _sl2()
-    n = k + 1
-    H = [[Fraction(0)] * n for _ in range(n)]
-    E = [[Fraction(0)] * n for _ in range(n)]
-    F = [[Fraction(0)] * n for _ in range(n)]
+    # every cell is a Fraction already (one shared zero), so the rows become
+    # tuples without a coercion per cell
+    n, zero = k + 1, Fraction(0)
+    H = [[zero] * n for _ in range(n)]
+    E = [[zero] * n for _ in range(n)]
+    F = [[zero] * n for _ in range(n)]
     for i in range(n):
         H[i][i] = Fraction(k - 2 * i)
         if i >= 1:
             E[i - 1][i] = Fraction(i * (k - i + 1))
         if i + 1 < n:
             F[i + 1][i] = Fraction(1)
-    rep = Representation(n, (_freeze_matrix(H), _freeze_matrix(E), _freeze_matrix(F)))
+    rep = Representation(n, tuple(tuple(map(tuple, m)) for m in (H, E, F)))
     check_representation(g, rep)
     return g, rep
 

@@ -362,6 +362,17 @@ def test_degree_restricted_complex_matches_full(kind, name, rebase):
         assert defect_deformation_cohomology(g, rep, kind == "boundary") == want
 
 
+@pytest.mark.parametrize("fundamental", [False, True])
+def test_degree_restricted_differentials_equal_full_ones(fundamental):
+    g, rep = builtin("sl3")
+    module = module_from_representation(g, rep) if fundamental else trivial_module(g)
+    full = ce_complex(g, module)
+    part = ce_complex(g, module, degrees=(3, 4))
+    assert part.spaces == full.spaces
+    for k in (2, 3, 4):
+        assert part.differentials[k] == full.differentials[k]
+
+
 # e'_0 = e_0 / 2 and e'_1 = e_1 + e_0 / 3: rational structure constants and action
 _SCALE = [[Fraction(1, 2), 0, 0], [Fraction(1, 3), 1, 0], [0, 0, 1]]
 _SCALE_INV = [[2, 0, 0], [Fraction(-2, 3), 1, 0], [0, 0, 1]]

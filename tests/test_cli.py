@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line front end."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -436,6 +437,7 @@ def test_verify_names_every_criterion(capsys):
     assert len(lines) == 11
     for i, line in enumerate(lines, start=1):
         assert line.startswith(f"criterion {i:2d} PASS [")
+        assert re.search(r" \(\d+\.\d\d s\)$", line), line
     assert "11/11 criteria passed" in out
 
 
@@ -446,6 +448,8 @@ def test_verify_seed_env_override(capsys, monkeypatch):
     assert payload["seed"] == 7
     assert all(item["ok"] for item in payload["criteria"])
     assert [item["index"] for item in payload["criteria"]] == list(range(1, 12))
+    assert all(isinstance(item["elapsed_s"], float) and item["elapsed_s"] >= 0
+               for item in payload["criteria"])
 
 
 def test_verify_seed_flag_beats_env(capsys, monkeypatch):

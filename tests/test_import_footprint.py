@@ -1,0 +1,51 @@
+"""Which modules importing the package and running a command load.
+
+numpy is imported by ``rtfactor.confint`` only, and the acceptance suite by
+``verify`` only, so the exact-arithmetic commands start without either.
+Each check runs in a fresh interpreter: this test session has long since
+imported both.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+WATCHED = ("numpy", "rtfactor.acceptance", "rtfactor.confint")
+
+
+def loaded_after(statements: str) -> set:
+    """Run ``statements`` in a new interpreter with src/ first on the path;
+    return the modules of WATCHED that are loaded afterwards."""
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(SRC)!r})",
+        statements,
+        "import json",
+        f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_package_import_loads_neither_numpy_nor_acceptance():
+    loaded = loaded_after("import rtfactor, rtfactor.rt, rtfactor.cli")
+    assert not loaded & {"numpy", "rtfactor.acceptance"}
+
+
+def test_exact_command_loads_neither_numpy_nor_acceptance():
+    loaded = loaded_after(
+        "from rtfactor import cli\n"
+        "assert cli.main(['invariant', '--link', 'trefoil', '--algebra', "
+        "'sl2', '--jones']) == 0")
+    assert not loaded & {"numpy", "rtfactor.acceptance"}
+
+
+def test_linking_command_loads_the_curve_integrals():
+    loaded = loaded_after(
+        "from rtfactor import cli\n"
+        "assert cli.main(['linking', '--curves', 'hopf']) == 0")
+    assert "rtfactor.confint" in loaded
