@@ -10,13 +10,14 @@
 * ``mat_inv``: inverse of a square matrix over the rationals.
 
 Sparse rows are the one matrix format of the Lie and cohomology layer:
-brackets, module actions and Chevalley-Eilenberg differentials, the last
-thousands of rows with a few small integer entries each.  They keep
-integral values as ints, several times cheaper than Fractions.  Dense
-matrices are lists-of-lists over an exact ring (Fraction, or any type with
-+, -, * and a truthy zero test), for the small matrices of pairings and
-representations; ``mat_mul`` takes the ring's zero as an argument and
-``mat_inv`` eliminates on sparse rows.  ``exact_rank`` takes either form.
+brackets, representations, module actions and Chevalley-Eilenberg
+differentials, the last thousands of rows with a few small integer entries
+each.  They keep integral values as ints, several times cheaper than
+Fractions.  Dense matrices are lists-of-lists over an exact ring (Fraction,
+or any type with +, -, * and a truthy zero test), for the small matrices
+of pairings and the dense views of representations; ``mat_mul`` takes the
+ring's zero as an argument and ``mat_inv`` eliminates on sparse rows.
+``exact_rank`` takes either form.
 """
 from __future__ import annotations
 

@@ -27,9 +27,8 @@ from math import comb
 
 # mat_mul is unused here but stays importable: perfbench/tracing.py wraps ce.mat_mul
 from ._linalg import exact_rank, mat_mul, row_mul_add
-from .errors import check_size
-from .lie import (LieAlgebra, Representation, check_bracket_compatible,
-                  sparse_matrices)
+from .errors import DimensionMismatch, check_size
+from .lie import LieAlgebra, Representation, check_bracket_compatible
 
 # 2^14 admits sl4 cs (4928 cochains) and the sl2_irrep(4) defect (8184, 1 s);
 # the sl2_irrep(5) defect (32760) took 41 s and 1.2 GB.
@@ -68,20 +67,21 @@ class SuperModule:
 
 
 def make_super_module(g: LieAlgebra, even_dim: int, odd_dim: int, action) -> SuperModule:
-    """Convert dense int/Fraction matrices once; check shape, brackets, parity."""
-    return _checked_module(g, even_dim, sparse_matrices(
-        g, action, even_dim + odd_dim, "module action"))
-
-
-def _checked_module(g: LieAlgebra, even_dim: int, rows) -> SuperModule:
-    check_bracket_compatible(g, rows, "module action")
-    for a, m in enumerate(rows):
+    """Validate an action given as one list of even_dim + odd_dim sparse
+    {column: value} rows per basis element: shape, parity, brackets."""
+    n = even_dim + odd_dim
+    for a, m in enumerate(action):
+        if len(m) != n:
+            raise DimensionMismatch("module action matrix has wrong shape")
         for i, row in enumerate(m):
             for j in row:
+                if not 0 <= j < n:
+                    raise DimensionMismatch("module action matrix has wrong shape")
                 if (i < even_dim) != (j < even_dim):
                     raise ValueError(
                         f"action matrix {a} mixes parities at entry ({i}, {j})")
-    return SuperModule(even_dim, len(rows[0]) - even_dim, tuple(rows))
+    check_bracket_compatible(g, action, "module action")
+    return SuperModule(even_dim, odd_dim, tuple(action))
 
 
 def trivial_module(g: LieAlgebra, dim: int = 1) -> SuperModule:
@@ -90,7 +90,7 @@ def trivial_module(g: LieAlgebra, dim: int = 1) -> SuperModule:
 
 def module_from_representation(g: LieAlgebra, rep: Representation) -> SuperModule:
     """An ordinary (all-even) module from a matrix representation."""
-    return make_super_module(g, rep.dim, 0, rep.matrices)
+    return make_super_module(g, rep.dim, 0, rep.rows)
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ def defect_module(g: LieAlgebra, rho: Representation, boundary: bool = False) ->
     index_of = {m: i for i, m in enumerate(masks)}
 
     rows = []
-    for rho_a in sparse_matrices(g, rho.matrices, n, "representation"):
+    for rho_a in rho.rows:
         # generator images {target: coeff}: columns of rho on V, of -rho^T on V*
         images = [{} for _ in range(total)]
         for j, row in enumerate(rho_a):
@@ -213,7 +213,7 @@ def defect_module(g: LieAlgebra, rho: Representation, boundary: bool = False) ->
                     target = out[index_of[(mask & ~(1 << t)) | (1 << y)]]
                     target[col] = target.get(col, 0) + (-cf if crossings % 2 else cf)
         rows.append([{c: v for c, v in row.items() if v} for row in out])
-    return _checked_module(g, even_dim, rows)
+    return make_super_module(g, even_dim, len(masks) - even_dim, rows)
 
 
 def defect_deformation_cohomology(g: LieAlgebra, rho: Representation,

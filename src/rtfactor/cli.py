@@ -78,7 +78,7 @@ def _resolve_rep(spec: str, g: LieAlgebra) -> Representation:
     if rep is None:
         raise UnknownName(
             f"{spec!r} names an algebra without a distinguished representation")
-    if other.structure_constants != g.structure_constants:
+    if other.brackets != g.brackets:
         raise UnknownName(
             f"representation {spec!r} belongs to a different algebra")
     return rep

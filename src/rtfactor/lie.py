@@ -1,9 +1,12 @@
 """Finite-dimensional Lie algebras over the rationals.
 
-An algebra is stored as its structure constants: ``structure_constants[a][b][c]``
-is the coefficient of basis element c in the bracket of basis elements a and b.
-Computations read ``brackets``, the same data as sparse rows with ints where
-integral.  Construction validates antisymmetry and the Jacobi identity exactly.
+An algebra is stored as its brackets: ``brackets[a][b]`` is the sparse row
+{c: f_ab^c} of the bracket of basis elements a and b over its nonzero
+structure constants, with ints where integral.  A representation keeps one
+list of such {column: value} rows per basis element in ``rows``.  Every
+computation reads the rows; ``structure_constants`` and
+``Representation.matrices`` are dense views for oracles and interchange.
+Construction validates antisymmetry and the Jacobi identity exactly.
 
 Builtin algebras come with a distinguished matrix representation where one
 exists (defining/fundamental); all matrices act on column vectors.
@@ -11,12 +14,14 @@ exists (defining/fundamental); all matrices act on column vectors.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 
+# mat_mul is unused here but stays importable: perfbench/tracing.py wraps lie.mat_mul
 from ._linalg import exact_rank, mat_mul, row_mul_add, sparse_rows
 from .errors import (
     AntisymmetryViolation,
@@ -28,38 +33,57 @@ from .errors import (
 )
 from .ring import rat
 
-# JSON parsing and builtin() refuse larger algebras before allocating their
-# dim^3 structure constants; 15 admits sln_fundamental(4).
+# JSON parsing and builtin() refuse larger algebras before building their
+# dim^2 bracket rows and checking Jacobi on their C(dim, 3) triples (1.6 ms
+# for the 455 triples of sln_fundamental(4)); 15 admits sln_fundamental(4).
 MAX_PARSED_ALGEBRA_DIM = 15
-# builtin() refuses larger sl2_irrep carriers: checking the representation
-# costs about the square of the carrier dimension (10 s at 1024).
+# builtin() refuses larger sl2_irrep carriers: the dense matrices view costs
+# the square of the carrier dimension, the rows and their check are linear
+# (0.09 s in all at 1024, 0.01 s of it the check).
 MAX_IRREP_DIM = 1024
 
 
 @dataclass(frozen=True)
 class LieAlgebra:
     dim: int
-    structure_constants: tuple  # structure_constants[a][b][c]: Fraction
+    brackets: tuple  # brackets[a][b] = {c: f_ab^c} over nonzero constants
 
     @cached_property
-    def brackets(self) -> list:
-        """[e_a, e_b] as brackets[a][b] = {c: f_ab^c} over nonzero constants."""
-        return [sparse_rows(plane) for plane in self.structure_constants]
-
-    def bracket(self, a: int, b: int) -> list[Fraction]:
-        """Coordinates of [e_a, e_b]."""
-        return list(self.structure_constants[a][b])
-
-    def ad(self, a: int) -> list[list[Fraction]]:
-        """Matrix of ad(e_a) acting on coordinates (columns indexed by b)."""
-        d = self.dim
-        return [[self.structure_constants[a][b][c] for b in range(d)] for c in range(d)]
+    def structure_constants(self) -> tuple:
+        """Dense view: structure_constants[a][b][c] as Fractions."""
+        return tuple(tuple(_dense_row(row, self.dim) for row in plane)
+                     for plane in self.brackets)
 
 
 @dataclass(frozen=True)
 class Representation:
     dim: int  # dimension of the carrier space
     matrices: tuple  # one (dim x dim) matrix per basis element of the algebra
+
+    @cached_property
+    def rows(self) -> list:
+        """Each matrix as sparse {column: value} rows, ints where integral;
+        DimensionMismatch on a matrix that is not dim x dim."""
+        n = self.dim
+        for m in self.matrices:
+            if len(m) != n or any(len(row) != n for row in m):
+                raise DimensionMismatch("representation matrix has wrong shape")
+        return [sparse_rows(m) for m in self.matrices]
+
+
+def _dense_row(row: dict, n: int) -> tuple:
+    cells = [Fraction(0)] * n
+    for j, v in row.items():
+        cells[j] = Fraction(v)
+    return tuple(cells)
+
+
+def _from_rows(n: int, rows: list) -> Representation:
+    """A representation built from its sparse rows, which seed ``rows``."""
+    rep = Representation(n, tuple(tuple(_dense_row(row, n) for row in m)
+                                  for m in rows))
+    rep.__dict__["rows"] = rows
+    return rep
 
 
 @dataclass(frozen=True)
@@ -88,20 +112,30 @@ def make_lie_algebra(structure_constants) -> LieAlgebra:
     Raises AntisymmetryViolation or JacobiViolation naming the offending
     indices; DimensionMismatch when the array is not cubic.
     """
-    f = [[[rat(c) for c in row] for row in plane] for plane in structure_constants]
-    d = len(f)
-    for a in range(d):
-        if len(f[a]) != d or any(len(f[a][b]) != d for b in range(d)):
+    d = len(structure_constants)
+    for plane in structure_constants:
+        if len(plane) != d or any(len(row) != d for row in plane):
             raise DimensionMismatch("structure constant array is not cubic")
+    return _checked_algebra([[dict(enumerate(map(rat, row))) for row in plane]
+                             for plane in structure_constants])
+
+
+def _checked_algebra(rows) -> LieAlgebra:
+    """Freeze bracket rows rows[a][b] = {c: f_ab^c} into a LieAlgebra, with
+    zeros dropped, columns sorted and ints where integral, after checking
+    antisymmetry and the Jacobi identity on the rows."""
+    d = len(rows)
+    br = tuple(tuple({c: v.numerator if v.denominator == 1 else v
+                      for c, v in sorted(row.items()) if v} for row in plane)
+               for plane in rows)
     for a in range(d):
         for b in range(a, d):
-            for c in range(d):
-                if f[a][b][c] != -f[b][a][c]:
+            ab, ba = br[a][b], br[b][a]
+            for c in sorted(ab.keys() | ba.keys()):
+                if ab.get(c, 0) != -ba.get(c, 0):
                     raise AntisymmetryViolation((a, b, c))
-    g = LieAlgebra(d, tuple(tuple(tuple(row) for row in plane) for plane in f))
     # Jacobi: f_xy^m f_mz^k for the three cyclic orders (x, y, z) of each
     # triple a < b < c
-    br = g.brackets
     for a, b, c in combinations(range(d), 3):
         acc = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
@@ -109,7 +143,7 @@ def make_lie_algebra(structure_constants) -> LieAlgebra:
         broken = [k for k, v in acc.items() if v]
         if broken:
             raise JacobiViolation((a, b, c, min(broken)))
-    return g
+    return LieAlgebra(d, br)
 
 
 def killing_form(g: LieAlgebra) -> list[list[Fraction]]:
@@ -160,25 +194,17 @@ def check_invariant_pairing(g: LieAlgebra, pairing: InvariantPairing) -> Pairing
     return PairingReport(not violations, tuple(violations))
 
 
-def sparse_matrices(g: LieAlgebra, mats, n: int, what: str) -> list:
-    """One dense n x n int/Fraction matrix per basis element as sparse rows;
-    DimensionMismatch, naming ``what``, on a wrong count or shape."""
-    if len(mats) != g.dim:
-        raise DimensionMismatch(
-            f"{what} has {len(mats)} matrices for a {g.dim}-dim algebra")
-    for m in mats:
-        if len(m) != n or any(len(row) != n for row in m):
-            raise DimensionMismatch(f"{what} matrix has wrong shape")
-    return [sparse_rows(m) for m in mats]
-
-
 def check_bracket_compatible(g: LieAlgebra, rows, what: str) -> None:
     """Assert [rho(e_a), rho(e_b)] = sum_c f_ab^c rho(e_c) on all basis
     pairs, for rho given as one list of sparse rows per basis element.
 
-    ``what`` names the matrices in the ValueError raised on a failing pair.
+    ``what`` names the matrices in the DimensionMismatch raised on a wrong
+    count and in the ValueError raised on a failing pair.
     """
     d = g.dim
+    if len(rows) != d:
+        raise DimensionMismatch(
+            f"{what} has {len(rows)} matrices for a {d}-dim algebra")
     for a in range(d):
         for b in range(a + 1, d):
             f_ab = g.brackets[a][b]
@@ -193,19 +219,7 @@ def check_bracket_compatible(g: LieAlgebra, rows, what: str) -> None:
 
 def check_representation(g: LieAlgebra, rep: Representation) -> None:
     """Assert rho([x, y]) = rho(x) rho(y) - rho(y) rho(x) on all basis pairs."""
-    check_bracket_compatible(
-        g, sparse_matrices(g, rep.matrices, rep.dim, "representation"),
-        "representation")
-
-
-def _commutator(x, y):
-    xy = mat_mul(x, y)
-    yx = mat_mul(y, x)
-    return [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(xy, yx)]
-
-
-def _freeze_matrix(rows):
-    return tuple(tuple(rat(x) for x in row) for row in rows)
+    check_bracket_compatible(g, rep.rows, "representation")
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +228,10 @@ def _freeze_matrix(rows):
 
 def _sl2() -> tuple[LieAlgebra, Representation]:
     # basis (H, E, F): [H,E] = 2E, [H,F] = -2F, [E,F] = H
-    d = 3
-    f = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-
-    def setpair(a, b, coords):
-        for c, v in coords.items():
-            f[a][b][c] = Fraction(v)
-            f[b][a][c] = -Fraction(v)
-
-    H, E, F = 0, 1, 2
-    setpair(H, E, {E: 2})
-    setpair(H, F, {F: -2})
-    setpair(E, F, {H: 1})
-    g = make_lie_algebra(f)
-    rep = Representation(2, (
-        _freeze_matrix([[1, 0], [0, -1]]),
-        _freeze_matrix([[0, 1], [0, 0]]),
-        _freeze_matrix([[0, 0], [1, 0]]),
-    ))
+    g = _checked_algebra([[{}, {1: 2}, {2: -2}],
+                          [{1: -2}, {}, {0: 1}],
+                          [{2: 2}, {0: -1}, {}]])
+    rep = _from_rows(2, [[{0: 1}, {1: -1}], [{1: 1}, {}], [{}, {0: 1}]])
     return g, rep
 
 
@@ -241,19 +241,10 @@ def _sl2_irrep(k: int) -> tuple[LieAlgebra, Representation]:
         raise UnknownName("sl2_irrep needs a nonnegative highest weight")
     check_size("sl2_irrep carrier dimension", k + 1, MAX_IRREP_DIM)
     g, _ = _sl2()
-    # every cell is a Fraction already (one shared zero), so the rows become
-    # tuples without a coercion per cell
-    n, zero = k + 1, Fraction(0)
-    H = [[zero] * n for _ in range(n)]
-    E = [[zero] * n for _ in range(n)]
-    F = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        H[i][i] = Fraction(k - 2 * i)
-        if i >= 1:
-            E[i - 1][i] = Fraction(i * (k - i + 1))
-        if i + 1 < n:
-            F[i + 1][i] = Fraction(1)
-    rep = Representation(n, tuple(tuple(map(tuple, m)) for m in (H, E, F)))
+    H = [{i: k - 2 * i} if k != 2 * i else {} for i in range(k + 1)]
+    E = [{i + 1: (i + 1) * (k - i)} for i in range(k)] + [{}]
+    F = [{}] + [{i: 1} for i in range(k)]
+    rep = _from_rows(k + 1, [H, E, F])
     check_representation(g, rep)
     return g, rep
 
@@ -263,62 +254,45 @@ def _sln_fundamental(n: int) -> tuple[LieAlgebra, Representation]:
 
     Basis: E_ij for i != j in lexicographic order, then the n-1 diagonal
     elements H_i = E_ii - E_{i+1,i+1}.  Structure constants are read off by
-    expanding matrix commutators in this basis.
+    expanding sparse matrix commutators in this basis.
     """
     if n < 2:
         raise UnknownName("sln_fundamental needs n >= 2")
     check_size("algebra dimension", n * n - 1, MAX_PARSED_ALGEBRA_DIM)
-    basis = []
-    index_of_offdiag = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                m = [[Fraction(0)] * n for _ in range(n)]
-                m[i][j] = Fraction(1)
-                index_of_offdiag[(i, j)] = len(basis)
-                basis.append(m)
-    diag_start = len(basis)
-    for i in range(n - 1):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        m[i][i] = Fraction(1)
-        m[i + 1][i + 1] = Fraction(-1)
-        basis.append(m)
-    d = len(basis)
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    index_of_offdiag = {ij: a for a, ij in enumerate(offdiag)}
+    basis = [[{j: 1} if r == i else {} for r in range(n)] for i, j in offdiag]
+    basis += [[{r: 1} if r == i else {r: -1} if r == i + 1 else {}
+               for r in range(n)] for i in range(n - 1)]
 
-    def expand(mat) -> list[Fraction]:
-        coords = [Fraction(0)] * d
-        for i in range(n):
-            for j in range(n):
-                if i != j and mat[i][j]:
-                    coords[index_of_offdiag[(i, j)]] = mat[i][j]
-        # diagonal part: partial sums give the H_i coordinates
-        partial = Fraction(0)
-        for i in range(n - 1):
-            partial += mat[i][i]
-            coords[diag_start + i] = partial
+    def bracket(x, y) -> dict:
+        # [x, y] row by row: its off-diagonal entries are E_ij coordinates,
+        # and partial sums of its diagonal give the H_i coordinates
+        coords, partial = {}, 0
+        for i, (xr, yr) in enumerate(zip(x, y)):
+            row = row_mul_add(row_mul_add({}, xr, y), yr, x, -1)
+            for j, v in row.items():
+                if i != j:
+                    coords[index_of_offdiag[i, j]] = v
+            if i < n - 1:
+                partial += row.get(i, 0)
+                coords[len(offdiag) + i] = partial
         return coords
 
-    f = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for a in range(d):
-        for b in range(a + 1, d):
-            coords = expand(_commutator(basis[a], basis[b]))
-            for c, v in enumerate(coords):
-                f[a][b][c] = v
-                f[b][a][c] = -v
-    g = make_lie_algebra(f)
-    rep = Representation(n, tuple(_freeze_matrix(m) for m in basis))
+    g = _checked_algebra([[bracket(x, y) for y in basis] for x in basis])
+    rep = _from_rows(n, basis)
     check_representation(g, rep)
     return g, rep
 
 
 def _so3() -> tuple[LieAlgebra, Representation]:
-    # [L_i, L_j] = sum_k epsilon_ijk L_k; defining rep = adjoint
-    eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-           (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
-    f = [[[Fraction(eps.get((a, b, c), 0)) for c in range(3)]
-          for b in range(3)] for a in range(3)]
-    g = make_lie_algebra(f)
-    rep = Representation(3, tuple(_freeze_matrix(g.ad(a)) for a in range(3)))
+    # [L_i, L_j] = sum_k epsilon_ijk L_k; defining rep = adjoint, whose
+    # matrix ad(L_a) has entry f_ab^c in row c, column b
+    g = _checked_algebra([[{}, {2: 1}, {1: -1}],
+                          [{2: -1}, {}, {0: 1}],
+                          [{1: 1}, {0: -1}, {}]])
+    rep = _from_rows(3, [[{b: row[c] for b, row in enumerate(plane) if c in row}
+                          for c in range(3)] for plane in g.brackets])
     check_representation(g, rep)
     return g, rep
 
@@ -327,10 +301,9 @@ def _abelian(d: int) -> tuple[LieAlgebra, Representation]:
     if d < 1:
         raise UnknownName("abelian needs a positive dimension")
     check_size("algebra dimension", d, MAX_PARSED_ALGEBRA_DIM)
-    f = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    g = make_lie_algebra(f)
+    g = _checked_algebra([[{} for _ in range(d)] for _ in range(d)])
     # the trivial 1-dimensional representation, handy for defect computations
-    rep = Representation(1, tuple(_freeze_matrix([[0]]) for _ in range(d)))
+    rep = _from_rows(1, [[{}] for _ in range(d)])
     return g, rep
 
 
@@ -396,13 +369,15 @@ def algebra_from_json(text: str) -> LieAlgebra:
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise DimensionMismatch("dim must be a positive integer")
     check_size("algebra dimension", d, MAX_PARSED_ALGEBRA_DIM)
-    f = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    rows = [[{} for _ in range(d)] for _ in range(d)]
     try:
         for entry in data.get("brackets", []):
             a, b, c, v = entry
             if not all(0 <= i < d for i in (a, b, c)):
                 raise DimensionMismatch(f"bracket index out of range in {entry}")
-            f[a][b][c] = Fraction(str(v))
+            # operator.index refuses a float and reads true as 1
+            a, b, c = map(operator.index, (a, b, c))
+            rows[a][b][c] = Fraction(str(v))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad bracket entry: {exc}") from None
-    return make_lie_algebra(f)
+    return _checked_algebra(rows)

@@ -466,7 +466,7 @@ def _cycle_traces(rho: Representation, k: int) -> dict:
     """(-tr(rho_(a_k) ... rho_(a_1)),) for each index tuple where it is
     nonzero.  A depth-first walk over sparse rows forms each nonzero
     prefix product once; the last factor is only traced against it."""
-    mats = [sparse_rows(m) for m in rho.matrices]
+    mats = rho.rows
     traces = {}
 
     def walk(prefix, prod):

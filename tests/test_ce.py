@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -17,7 +18,7 @@ from rtfactor.ce import (
     module_from_representation,
     trivial_module,
 )
-from rtfactor.errors import DimensionTooLarge
+from rtfactor.errors import DimensionMismatch, DimensionTooLarge
 from rtfactor.lie import builtin
 
 from test_linalg import _change_basis, _rebased
@@ -91,16 +92,27 @@ def test_euler_characteristic_matches_betti():
 
 def test_parity_mixing_rejected():
     g, _ = builtin("abelian(1)")
-    bad = [[[0, 1], [0, 0]]]
-    with pytest.raises(ValueError):
+    bad = [[{1: 1}, {}]]
+    with pytest.raises(ValueError, match="mixes parities"):
         make_super_module(g, 1, 1, bad)
 
 
 def test_non_compatible_action_rejected():
     g, _ = builtin("sl2")
-    eye = [[1, 0], [0, 1]]
-    with pytest.raises(ValueError):
+    eye = [{0: 1}, {1: 1}]
+    with pytest.raises(ValueError, match="not bracket compatible"):
         make_super_module(g, 2, 0, [eye, eye, eye])
+
+
+@pytest.mark.parametrize("action, message", [
+    ([[{0: 1}]] * 3, "module action matrix has wrong shape"),
+    ([[{2: 1}, {}]] * 3, "module action matrix has wrong shape"),
+    ([[{}, {}]] * 2, "module action has 2 matrices for a 3-dim algebra"),
+], ids=["rows", "column", "count"])
+def test_module_action_shape_rejected(action, message):
+    g, _ = builtin("sl2")
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        make_super_module(g, 2, 0, action)
 
 
 def test_dimension_guard():

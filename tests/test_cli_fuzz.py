@@ -120,7 +120,7 @@ REFUSED_ALGEBRAS = ["e8", "sl2(3)", "abelian(0)", "abelian(9)", "abelian(16)",
 def _algebra_json(draw):
     dim = draw(st.one_of(st.integers(0, 3),
                          st.sampled_from([2.5, True, 100000])))
-    index = st.integers(-1, 3)
+    index = st.one_of(st.integers(-1, 3), st.sampled_from([1.0, True]))
     entry = st.tuples(index, index, index,
                       st.sampled_from(["1", "-1", "1/2", "0", "x", 1]))
     brackets = draw(st.lists(entry.map(list), max_size=4))

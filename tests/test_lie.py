@@ -25,6 +25,7 @@ from rtfactor.lie import (
     MAX_IRREP_DIM,
     MAX_PARSED_ALGEBRA_DIM,
     InvariantPairing,
+    Representation,
     algebra_from_json,
     algebra_to_json,
     builtin,
@@ -44,8 +45,9 @@ def test_sl2_constants_accepted():
     g, rep = builtin("sl2")
     assert g.dim == 3
     # [H,E] = 2E, [E,F] = H
-    assert g.bracket(0, 1) == [Fraction(0), Fraction(2), Fraction(0)]
-    assert g.bracket(1, 2) == [Fraction(1), Fraction(0), Fraction(0)]
+    assert g.structure_constants[0][1] == (Fraction(0), Fraction(2), Fraction(0))
+    assert g.structure_constants[1][2] == (Fraction(1), Fraction(0), Fraction(0))
+    assert g.brackets[0][1] == {1: 2} and g.brackets[1][2] == {0: 1}
     assert rep.dim == 2
     assert rep.matrices[0] == ((1, 0), (0, -1))
 
@@ -115,7 +117,7 @@ def test_non_cubic_rejected():
 def test_abelian_accepted():
     g, _ = builtin("abelian(3)")
     assert g.dim == 3
-    assert all(not any(g.bracket(a, b)) for a in range(3) for b in range(3))
+    assert all(not any(row) for plane in g.structure_constants for row in plane)
 
 
 def test_killing_form_sl2():
@@ -220,6 +222,92 @@ def test_sln_fundamental_is_traceless():
         assert sum(m[i][i] for i in range(3)) == 0
 
 
+# -- the sparse builtins against their dense construction ---------------------
+
+def _zeros(n):
+    return [[Fraction(0)] * n for _ in range(n)]
+
+
+def _dense_sl2():
+    # basis (H, E, F): [H,E] = 2E, [H,F] = -2F, [E,F] = H
+    f = [_zeros(3) for _ in range(3)]
+    for a, b, c, v in [(0, 1, 1, 2), (0, 2, 2, -2), (1, 2, 0, 1)]:
+        f[a][b][c], f[b][a][c] = Fraction(v), Fraction(-v)
+    return f, [[[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]
+
+
+def _dense_sln(n):
+    """sl_n constants from dense matrix commutators expanded in the basis
+    E_ij (i != j, lexicographic), then H_i = E_ii - E_{i+1,i+1}."""
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    basis = []
+    for i, j in offdiag:
+        m = _zeros(n)
+        m[i][j] = Fraction(1)
+        basis.append(m)
+    for i in range(n - 1):
+        m = _zeros(n)
+        m[i][i], m[i + 1][i + 1] = Fraction(1), Fraction(-1)
+        basis.append(m)
+
+    def expand(m):
+        partial, diagonal = Fraction(0), []
+        for i in range(n - 1):
+            partial += m[i][i]
+            diagonal.append(partial)
+        return [m[i][j] for i, j in offdiag] + diagonal
+
+    def commutator(x, y):
+        return [[sum(x[i][t] * y[t][j] - y[i][t] * x[t][j] for t in range(n))
+                 for j in range(n)] for i in range(n)]
+
+    return [[expand(commutator(x, y)) for y in basis] for x in basis], basis
+
+
+def _dense_so3():
+    # [L_i, L_j] = sum_k epsilon_ijk L_k; the rep is the adjoint
+    eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+           (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
+    f = [[[Fraction(eps.get((a, b, c), 0)) for c in range(3)] for b in range(3)]
+         for a in range(3)]
+    return f, [[[f[a][b][c] for b in range(3)] for c in range(3)] for a in range(3)]
+
+
+def _dense_sl2_irrep(k):
+    n = k + 1
+    H, E, F = _zeros(n), _zeros(n), _zeros(n)
+    for i in range(n):
+        H[i][i] = Fraction(k - 2 * i)
+        if i >= 1:
+            E[i - 1][i] = Fraction(i * (k - i + 1))
+        if i + 1 < n:
+            F[i + 1][i] = Fraction(1)
+    return _dense_sl2()[0], [H, E, F]
+
+
+_DENSE_BUILTINS = {
+    "sl2": _dense_sl2,
+    "sl3": lambda: _dense_sln(3),
+    "so3": _dense_so3,
+    "sln_fundamental(4)": lambda: _dense_sln(4),
+    "abelian(3)": lambda: ([_zeros(3) for _ in range(3)], [[[0]]] * 3),
+    **{f"sl2_irrep({k})": lambda k=k: _dense_sl2_irrep(k) for k in (0, 1, 4, 31)},
+}
+
+
+@pytest.mark.parametrize("name", list(_DENSE_BUILTINS))
+def test_builtin_matches_dense_construction(name):
+    f, mats = _DENSE_BUILTINS[name]()
+    g, rep = builtin(name)
+    assert g.structure_constants == tuple(tuple(map(tuple, plane)) for plane in f)
+    assert g == make_lie_algebra(f)
+    assert rep.matrices == tuple(tuple(map(tuple, m)) for m in mats)
+    assert all(type(v) is Fraction for m in rep.matrices for row in m for v in row)
+    assert rep.rows == Representation(rep.dim, rep.matrices).rows
+    assert all(v and type(v) is int for m in rep.rows for row in m
+               for v in row.values())
+
+
 def test_builtin_is_cached():
     assert builtin("sl3") is builtin("sl3")
 
@@ -231,7 +319,6 @@ def test_unknown_name_raises():
 
 
 def test_bad_representation_rejected():
-    from rtfactor.lie import Representation
     g, _ = builtin("sl2")
     bad = Representation(2, (((1, 0), (0, -1)),) * 3)
     with pytest.raises(ValueError):
@@ -248,7 +335,6 @@ def test_bad_representation_rejected():
     ("sl3", 7, (2, 0), 1, (0, 7)),
     ("sl2_irrep(3)", 2, (3, 0), 1, (0, 2))])
 def test_representation_perturbed_in_one_entry_rejected(name, a, entry, delta, pair):
-    from rtfactor.lie import Representation
     g, rep = builtin(name)
     mats = [[list(row) for row in m] for m in rep.matrices]
     mats[a][entry[0]][entry[1]] += delta
@@ -266,7 +352,8 @@ def test_json_roundtrip_all_builtins():
 
 def test_json_rational_coefficients():
     g = algebra_from_json('{"dim": 2, "brackets": [[0, 1, 1, "1/2"], [1, 0, 1, "-1/2"]]}')
-    assert g.bracket(0, 1) == [Fraction(0), Fraction(1, 2)]
+    assert g.structure_constants[0][1] == (Fraction(0), Fraction(1, 2))
+    assert g.brackets[0][1] == {1: Fraction(1, 2)}
 
 
 @pytest.mark.parametrize("text", [
@@ -277,6 +364,7 @@ def test_json_rational_coefficients():
     '{"dim": 2, "brackets": [[0, 1, 1, "1/0"]]}',
     '{"dim": 2, "brackets": [[0, 1]]}',
     '{"dim": 2, "brackets": [["x", 1, 1, "1"]]}',
+    '{"dim": 2, "brackets": [[0, 1, 1.0, "1"]]}',
     '{"dim": 2, "brackets": 5}',
 ])
 def test_algebra_json_parse_errors(text):
@@ -311,9 +399,9 @@ def test_algebra_json_size_limit_admits_every_command():
 
 def _refusal_under_memory_cap(call: str) -> str:
     """Run ``call`` in a child process under a 1 GiB address-space cap and
-    return the DimensionTooLarge message it raises.  Allocating a
-    10^15-cell structure-constant array there fails with MemoryError
-    instead of exhausting the machine."""
+    return the DimensionTooLarge message it raises.  Allocating the
+    10^10 bracket rows of a 100000-dim algebra there fails with
+    MemoryError instead of exhausting the machine."""
     code = ("import json\n"
             "from rtfactor.errors import DimensionTooLarge\n"
             "from rtfactor.lie import algebra_from_json, builtin\n"
@@ -353,8 +441,7 @@ def test_huge_builtin_refused_before_allocating():
      f"sl2_irrep carrier dimension 1025 exceeds the limit {MAX_IRREP_DIM}"),
 ])
 def test_builtin_size_guard_refuses_before_building(name, message):
-    # Without the guard these take seconds to build (sln_fundamental(5)
-    # about 12 s) before a command refuses them.
+    # Refused by name and size, before any bracket row or matrix is built.
     with pytest.raises(DimensionTooLarge, match=re.escape(message) + "$"):
         builtin(name)
 

@@ -1,9 +1,11 @@
 """Graph weights, AS/IHX relations, symmetry factors."""
 
+import importlib.util
 import json
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from rtfactor.lie import (
     Representation,
     builtin,
     killing_form,
+    make_lie_algebra,
 )
 from rtfactor import weights
 from rtfactor.ring import HSeries, series_exp, series_log, series_inverse
@@ -167,8 +170,7 @@ def test_weight_is_basis_independent():
                        for r in range(dim))
                    for c in range(dim)] for b in range(dim)]
                  for a in range(dim)]
-        new_g = type(g)(dim, tuple(tuple(tuple(row) for row in plane)
-                                   for plane in new_f))
+        new_g = make_lie_algebra(new_f)
         new_kill = [[sum(basis[a][p] * basis[b][q] * kill[p][q]
                          for p in range(dim) for q in range(dim))
                      for b in range(dim)] for a in range(dim)]
@@ -191,8 +193,7 @@ def test_relation_failures_are_reported():
     # antisymmetric nor Jacobi; both relation families must flag it.
     from rtfactor.lie import LieAlgebra
 
-    ones = tuple(tuple(tuple(Fraction(1) for _ in range(2))
-                       for _ in range(2)) for _ in range(2))
+    ones = tuple(tuple({0: 1, 1: 1} for _ in range(2)) for _ in range(2))
     fake = LieAlgebra(2, ones)
     identity = InvariantPairing(((
         (Fraction(1), Fraction(0)),
@@ -539,9 +540,9 @@ def _rescaled(g, rho):
     tensor has its own scale."""
     c = [Fraction(1, a + 2) for a in range(g.dim)]
     f = g.structure_constants
-    return (type(g)(g.dim, tuple(tuple(tuple(
-                c[a] * c[b] / c[k] * f[a][b][k] for k in range(g.dim))
-                for b in range(g.dim)) for a in range(g.dim))),
+    return (make_lie_algebra([[[c[a] * c[b] / c[k] * f[a][b][k]
+                                for k in range(g.dim)] for b in range(g.dim)]
+                              for a in range(g.dim)]),
             Representation(rho.dim, tuple(
                 tuple(tuple(c[a] * x for x in row) for row in m)
                 for a, m in enumerate(rho.matrices))))
@@ -680,6 +681,13 @@ def test_four_thetas_are_counted_not_enumerated():
 
 
 def test_tracer_patch_points_exist():
-    # perfbench/tracing.py wraps these two names of the weights module by
-    # getattr with no default; without them its --trace 1 runs fail.
-    assert callable(weights.mat_inv) and callable(weights.mat_mul)
+    # perfbench/tracing.py wraps every name of TARGETS by getattr with no
+    # default; a missing one makes its --trace 1 runs fail.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _, _ in tracing.TARGETS
+               if not hasattr(owner, attr)]
+    assert not missing
