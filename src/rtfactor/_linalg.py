@@ -1,8 +1,6 @@
 """Small exact linear algebra helpers shared across modules.
 
 * ``mat_mul``: matrix product, skipping zero entries.
-* ``linear_combination``: the sum of c_a M_a over paired coefficients and
-  matrices.
 * ``sparse_rows`` and ``row_mul_add``: matrices as lists of sparse
   {column: value} rows, and a sparse row times such a matrix.
 * ``exact_rank``: rank over the rationals, by sparse fraction-free
@@ -42,19 +40,6 @@ def mat_mul(a, b, zero=Fraction(0)):
                 w = bt[j]
                 if w:
                     oi[j] = oi[j] + v * w
-    return out
-
-
-def linear_combination(coeffs, mats):
-    """Sum of c * M over paired coefficients and equal-shape matrices."""
-    out = [[Fraction(0)] * len(row) for row in mats[0]] if mats else []
-    for c, m in zip(coeffs, mats):
-        if not c:
-            continue
-        for orow, mrow in zip(out, m):
-            for j, x in enumerate(mrow):
-                if x:
-                    orow[j] = orow[j] + c * x
     return out
 
 

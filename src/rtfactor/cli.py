@@ -117,9 +117,19 @@ def _nonneg_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError("order must be >= 0")
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0 < value < float("inf"):  # nan fails both comparisons
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
     return value
 
 
@@ -293,8 +303,6 @@ def _cmd_weights(args) -> int:
 def _cmd_linking(args) -> int:
     from .confint import (framed_self_linking, framing_twist_turns,
                           gauss_linking, writhe_integral)
-    if args.epsilon <= 0:
-        args.parser.error("--epsilon must be positive")
     curves = _load_curves(args.curves, args.samples)
     if len(curves) == 2:
         value = gauss_linking(*curves)
@@ -418,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "trefoil, twisted:<turns>")
     p.add_argument("--samples", type=_nonneg_int, default=_DEFAULT_SAMPLES,
                    help=f"points per built-in curve (default {_DEFAULT_SAMPLES})")
-    p.add_argument("--epsilon", type=float, default=_DEFAULT_EPSILON,
+    p.add_argument("--epsilon", type=_positive_float, default=_DEFAULT_EPSILON,
                    help=f"push-off distance (default {_DEFAULT_EPSILON})")
 
     p = register("verify", _cmd_verify, "run the acceptance suite")

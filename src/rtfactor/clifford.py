@@ -21,12 +21,18 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from ._linalg import exact_rank, linear_combination, mat_mul
+from ._linalg import exact_rank, mat_mul, row_mul_add
 from .errors import DimensionMismatch, TraceNotZero, check_size
 from .lie import LieAlgebra, Representation
-from .ring import HSeries, rat, series_exp, series_inverse, series_log
+from .ring import (MAX_SERIES_ORDER, HSeries, rat, series_exp, series_inverse,
+                   series_log)
 
 MAX_HH_DIM = 3
+# n! * n * (order + 1)^2 for an n-dim representation: the work of the
+# determinant over all n! permutations.  Measured with the slowest elements
+# tried: n = 4 at order 100 takes 4.1 s, n = 8 at order 1 3.8 s, n = 7 at
+# order 6 1.2 s; n = 8 at order 4 (8064000) takes 6 s, n = 9 at order 4 41 s.
+MAX_CHARACTER_COST = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -228,11 +234,19 @@ def hh0_dimension(d: int) -> int:
 # Series identities for the charged fermion system
 # ---------------------------------------------------------------------------
 
-def _coordinate_matrix(rho: Representation, coords) -> list[list[Fraction]]:
-    if len(coords) != len(rho.matrices):
+def _coordinate_matrix(rho: Representation, coords, order: int) -> list[list[Fraction]]:
+    """The image M of the coordinate vector, once the series order and the
+    n! * n * (order + 1)^2 cost of a series determinant are checked."""
+    if len(coords) != len(rho.rows):
         raise DimensionMismatch(
-            f"coordinate vector has length {len(coords)}, algebra has {len(rho.matrices)}")
-    return linear_combination([rat(c) for c in coords], rho.matrices)
+            f"coordinate vector has length {len(coords)}, algebra has {len(rho.rows)}")
+    n = rho.dim
+    check_size("series order", order, MAX_SERIES_ORDER)
+    check_size(f"character of a {n}-dim representation at order {order}, estimate",
+               factorial(n) * n * (order + 1) ** 2, MAX_CHARACTER_COST)
+    coeffs = dict(enumerate(map(rat, coords)))
+    sparse = [row_mul_add({}, coeffs, [rows[i] for rows in rho.rows]) for i in range(n)]
+    return [[Fraction(row.get(j, 0)) for j in range(n)] for row in sparse]
 
 
 def _matrix_powers(m, order):
@@ -279,7 +293,7 @@ def todd_series(order: int) -> HSeries:
 def charged_character(g: LieAlgebra, rho: Representation, coords, order: int) -> HSeries:
     """det(e^{tM/2} - e^{-tM/2}) as a t-series, M the image of the coordinate
     vector under the representation.  Requires trace M = 0."""
-    m = _coordinate_matrix(rho, coords)
+    m = _coordinate_matrix(rho, coords, order)
     n = rho.dim
     if sum((m[i][i] for i in range(n)), Fraction(0)) != 0:
         raise TraceNotZero("representation image must be traceless")
@@ -291,7 +305,7 @@ def charged_character(g: LieAlgebra, rho: Representation, coords, order: int) ->
 
 def wheel_term(rho: Representation, coords, order: int) -> HSeries:
     """-log det(e^{-tM/2} Td(tM)) as a t-series."""
-    m = _coordinate_matrix(rho, coords)
+    m = _coordinate_matrix(rho, coords, order)
     n = rho.dim
     powers = _matrix_powers(m, order)
     td = todd_series(order)
@@ -366,7 +380,7 @@ def partition_function_identity(g: LieAlgebra, rho: Representation, coords,
     """Tree-level Berezin integral times the exponentiated wheel term versus
     the charged character, as t-series.  hbar_power reports the filtration
     degree of the top fermion word."""
-    m = _coordinate_matrix(rho, coords)
+    m = _coordinate_matrix(rho, coords, order)
     n = rho.dim
     if sum((m[i][i] for i in range(n)), Fraction(0)) != 0:
         raise TraceNotZero("representation image must be traceless")

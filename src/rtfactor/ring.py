@@ -2,18 +2,18 @@
 
 Three value types, all immutable:
 
-* ``Rational``      -- alias of ``fractions.Fraction`` (already reduced, positive
-  denominator), used everywhere exactness matters.
-* ``LaurentPoly``   -- Laurent polynomial in ``u = q^(1/N)`` for a stored root
+* ``Rational`` -- alias of ``fractions.Fraction``.
+* ``LaurentPoly`` -- Laurent polynomial in ``u = q^(1/N)`` for a stored root
   order ``N``; binary operations align root orders by lcm.  Integral
-  coefficients are stored as ``int`` and only the others as ``Fraction``,
-  so the common integer case pays no gcd per operation; the two forms
-  compare and hash equal, and the queries return ``Fraction``.
-* ``HSeries``       -- power series in ``h`` truncated at an explicit inclusive
-  order, with exact rational coefficients.
+  coefficients are stored as ``int`` and only the others as ``Fraction``;
+  the two forms compare and hash equal, and the queries return ``Fraction``.
+* ``HSeries`` -- power series in ``h`` truncated at an explicit inclusive
+  order, with ``Fraction`` coefficients.
 
-Canonical text renderings (and exact round-trip parsers) live here too, since
-several front ends print the same formats.
+``laurent_to_hseries`` substitutes q = e^h through power sums of the
+exponents, taken over ints.  ``series_exp`` and ``series_log`` share one
+power loop.  The canonical text formats of both types share one term
+renderer and one signed-term parser, and round-trip exactly.
 """
 from __future__ import annotations
 
@@ -111,16 +111,10 @@ class LaurentPoly:
         return LaurentPoly(self.root_order, tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -173,14 +167,9 @@ class LaurentPoly:
 
     def coeff(self, num: int, den: int = 1) -> Fraction:
         """Coefficient of q^(num/den)."""
-        # exponent num/den in units of 1/root_order
-        scaled = Fraction(num, den) * self.root_order
-        if scaled.denominator != 1:
-            return Fraction(0)
-        for e, c in self.terms:
-            if e == scaled:
-                return rat(c)
-        return Fraction(0)
+        # exponent num/den in units of 1/root_order; a Fraction key equal to
+        # an int hashes equal to it
+        return rat(dict(self.terms).get(Fraction(num, den) * self.root_order, 0))
 
     def exponents(self) -> dict[Fraction, Fraction]:
         """Map from q-exponent (as a Fraction) to coefficient."""
@@ -305,16 +294,10 @@ class HSeries:
         return HSeries(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        other = _coerce_series(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        other = _coerce_series(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -359,33 +342,32 @@ def _coerce_series(x, order: int):
     return NotImplemented
 
 
+def _power_series(x: HSeries, outer) -> HSeries:
+    """outer[0] + outer[1]*x + outer[2]*x^2 + ... for x with zero constant
+    term, where ``outer`` holds x.order + 1 coefficients."""
+    power = HSeries.const(1, x.order)
+    result = power * outer[0]
+    for a in outer[1:]:
+        power = power * x
+        if not power:
+            break
+        result = result + power * a
+    return result
+
+
 def series_exp(s: HSeries) -> HSeries:
     """exp of a series with zero constant term."""
     if s.coeffs[0] != 0:
         raise ConstantTermViolation("series_exp needs constant term 0")
-    result = HSeries.const(1, s.order)
-    power = HSeries.const(1, s.order)
-    for k in range(1, s.order + 1):
-        power = power * s
-        if not power:
-            break
-        result = result + power * Fraction(1, factorial(k))
-    return result
+    return _power_series(s, [Fraction(1, factorial(k)) for k in range(s.order + 1)])
 
 
 def series_log(s: HSeries) -> HSeries:
     """log of a series with constant term 1."""
     if s.coeffs[0] != 1:
         raise ConstantTermViolation("series_log needs constant term 1")
-    x = s - 1
-    result = HSeries.zero(s.order)
-    power = HSeries.const(1, s.order)
-    for k in range(1, s.order + 1):
-        power = power * x
-        if not power:
-            break
-        result = result + power * Fraction((-1) ** (k + 1), k)
-    return result
+    return _power_series(s - 1, [Fraction(0)] + [Fraction((-1) ** (k + 1), k)
+                                                 for k in range(1, s.order + 1)])
 
 
 def series_inverse(s: HSeries) -> HSeries:
@@ -407,47 +389,68 @@ def series_div(a: HSeries, b: HSeries) -> HSeries:
     return a * series_inverse(b.truncate(min(a.order, b.order)))
 
 
-def exp_rational_series(r: Fraction, order: int) -> HSeries:
-    """The series of exp(r*h)."""
-    r = rat(r)
-    return HSeries.make(order, [r**m / factorial(m) for m in range(order + 1)])
+def _power_sums(p: LaurentPoly, order: int) -> list[Fraction]:
+    """sum c * e^m / (N^m m!) over the terms c*u^e of p, for m = 0..order.
+    The sums run over ints: the coefficients' denominators are cleared once."""
+    den = lcm(*(c.denominator for _, c in p.terms))
+    exps = [e for e, _ in p.terms]
+    weighted = [c.numerator * (den // c.denominator) for _, c in p.terms]
+    sums = []
+    for m in range(order + 1):
+        if m:
+            weighted = [w * e for w, e in zip(weighted, exps)]
+            den *= p.root_order * m
+        sums.append(Fraction(sum(weighted), den))
+    return sums
 
 
 def laurent_to_hseries(p: LaurentPoly, order: int) -> HSeries:
-    """Substitute q = e^h, i.e. u^k -> exp(k*h/N) truncated at `order`."""
-    result = HSeries.zero(order)
-    for e, c in p.terms:
-        result = result + exp_rational_series(Fraction(e, p.root_order), order) * c
-    return result
+    """Substitute q = e^h, truncated at `order`: with u = q^(1/N), the h^m
+    coefficient of sum c*u^e is sum c*e^m / (N^m m!)."""
+    check_size("series order", order, MAX_SERIES_ORDER)  # before any power sum
+    return HSeries.make(order, _power_sums(p, order))
 
 
 # ---------------------------------------------------------------------------
 # Canonical text renderings + parsers
 # ---------------------------------------------------------------------------
 
-def _fmt_rational(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def _render(terms, var: str, power: str) -> str:
+    """'c0 + c1*x - c2*x^2 ...': the (exponent, coefficient) terms in order,
+    zero coefficients left out; x^e is var + power.format(e) for e other than
+    0 and 1.  '0' when no term is left."""
+    parts = []
+    for e, c in terms:
+        if not c:
+            continue
+        a = -c if c < 0 else c
+        if e == 0:
+            body = str(a)
+        else:
+            head = var if e == 1 else var + power.format(e)
+            body = head if a == 1 else f"{a}*{head}"
+        if parts:
+            parts.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            parts.append("-")
+        parts.append(body)
+    return "".join(parts) or "0"
 
 
 def format_laurent(p: LaurentPoly, var: str = "q") -> str:
     """Canonical rendering, ascending exponents: e.g. '-q^{-1/2} + 2*q^{3/2}'."""
-    if p.is_zero:
-        return "0"
-    parts = []
-    for e, c in p.terms:
-        exp = Fraction(e, p.root_order)
-        if exp == 0:
-            body = _fmt_rational(abs(c))
-        else:
-            head = var if exp == 1 else f"{var}^{{{_fmt_rational(exp)}}}"
-            body = head if abs(c) == 1 else f"{_fmt_rational(abs(c))}*{head}"
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append((" + " if c > 0 else " - ") + body)
-    return "".join(parts)
+    n = p.root_order
+    terms = p.terms if n == 1 else ((Fraction(e, n), c) for e, c in p.terms)
+    return _render(terms, var, "^{{{}}}")
 
 
+def format_hseries(s: HSeries, var: str = "h") -> str:
+    """Render 'c0 + c1*h + c2*h^2 + O(h^{order+1})', omitting zero terms."""
+    return _render(enumerate(s.coeffs), var, "^{}") + f" + O({var}^{s.order + 1})"
+
+
+# A sign separates terms unless it follows one of ^ { ( * /
+_SIGN_RE = re.compile(r"(?<![\^{(*/])([+-])")
 _TERM_RE = re.compile(
     r"^\s*(?P<coeff>\d+(?:/\d+)?)?\s*\*?\s*"
     r"(?P<var>[A-Za-z]\w*)?"
@@ -455,85 +458,52 @@ _TERM_RE = re.compile(
 )
 
 
-def _parse_rational(text: str) -> Fraction:
-    """A matched '3' or '3/4'; a zero denominator is a ParseError."""
-    den = text.partition("/")[2]
-    if den and int(den) == 0:
+def _parse_rational(text: str) -> int | Fraction:
+    """A matched '3', '-3' or '3/4'; a zero denominator is a ParseError."""
+    num, _, den = text.partition("/")
+    if not den:
+        return int(num)
+    if not int(den):
         raise ParseError(f"zero denominator in {text!r}")
-    return Fraction(text)
+    return Fraction(int(num), int(den))
 
 
-def _split_signed_terms(text: str) -> list[tuple[int, str]]:
+def _parse_terms(text: str, var: str) -> list[tuple]:
+    """(exponent, signed coefficient) of each term of a rendering in `var`,
+    as int or Fraction, in the order written."""
     out = []
-    i = 0
     sign = 1
-    buf = []
-    stripped = text.strip()
-    while i < len(stripped):
-        ch = stripped[i]
-        if ch in "+-" and (not buf or buf[-1] not in "^{(*/"):
-            # separator between terms (a leading sign also lands here)
-            chunk = "".join(buf).strip()
-            if chunk:
-                out.append((sign, chunk))
-                sign = 1
-            if ch == "-":
-                sign = -sign
-            buf = []
-        else:
-            buf.append(ch)
-        i += 1
-    chunk = "".join(buf).strip()
-    if chunk:
-        out.append((sign, chunk))
+    pieces = _SIGN_RE.split(text)
+    for chunk, separator in zip(pieces[::2], pieces[1::2] + [""]):
+        chunk = chunk.strip()
+        if chunk:
+            m = _TERM_RE.match(chunk)
+            if not m or not (m["coeff"] or m["var"]):
+                raise ParseError(f"cannot parse term {chunk!r}")
+            coeff, name, exp = m.group("coeff", "var", "exp")
+            if name not in (None, var):
+                raise ParseError(f"unexpected variable {name!r}, wanted {var!r}")
+            if exp and not name:
+                raise ParseError(f"exponent without variable in {chunk!r}")
+            e = _parse_rational(exp) if exp else (1 if name else 0)
+            out.append((e, sign * _parse_rational(coeff) if coeff else sign))
+            sign = 1
+        if separator == "-":
+            sign = -sign
     return out
 
 
 def parse_laurent(text: str, var: str = "q") -> LaurentPoly:
     """Parse the canonical Laurent rendering back to a value."""
-    text = text.strip()
-    if not text:
+    if not text.strip():
         raise ParseError("empty polynomial text")
-    if text == "0":
-        return LaurentPoly.zero()
-    result = LaurentPoly.zero()
-    for sign, chunk in _split_signed_terms(text):
-        m = _TERM_RE.match(chunk)
-        if not m or (not m.group("coeff") and not m.group("var")):
-            raise ParseError(f"cannot parse term {chunk!r}")
-        if m.group("var") not in (None, var):
-            raise ParseError(f"unexpected variable {m.group('var')!r}, wanted {var!r}")
-        if m.group("exp") and not m.group("var"):
-            raise ParseError(f"exponent without variable in {chunk!r}")
-        coeff = _parse_rational(m.group("coeff")) if m.group("coeff") else 1
-        if m.group("var") is None:
-            exp = Fraction(0)
-        elif m.group("exp") is None:
-            exp = Fraction(1)
-        else:
-            exp = _parse_rational(m.group("exp"))
-        result = result + LaurentPoly.q_power(exp.numerator, exp.denominator, sign * coeff)
-    return result
-
-
-def format_hseries(s: HSeries, var: str = "h") -> str:
-    """Render 'c0 + c1*h + c2*h^2 + O(h^{order+1})', omitting zero terms."""
-    parts = []
-    for k, c in enumerate(s.coeffs):
-        if c == 0:
-            continue
-        if k == 0:
-            body = _fmt_rational(abs(c))
-        else:
-            head = var if k == 1 else f"{var}^{k}"
-            body = head if abs(c) == 1 else f"{_fmt_rational(abs(c))}*{head}"
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append((" + " if c > 0 else " - ") + body)
-    if not parts:
-        parts = ["0"]
-    return "".join(parts) + f" + O({var}^{s.order + 1})"
+    terms = _parse_terms(text, var)
+    n = lcm(*(e.denominator for e, _ in terms))
+    coeffs: dict[int, int | Fraction] = {}
+    for e, c in terms:
+        k = e.numerator * (n // e.denominator)
+        coeffs[k] = coeffs.get(k, 0) + c
+    return _canon(n, coeffs)
 
 
 _BIGO_RE = re.compile(r"\+\s*O\(\s*([A-Za-z]\w*)\^\{?(\d+)\}?\s*\)\s*$")
@@ -549,23 +519,9 @@ def parse_hseries(text: str, var: str = "h") -> HSeries:
     order = int(m.group(2)) - 1
     if order < 0:
         raise ParseError("O-term exponent must be >= 1")
-    body = text[: m.start()].strip()
     coeffs = list(HSeries.zero(order).coeffs)
-    if body and body != "0":
-        for sign, chunk in _split_signed_terms(body):
-            tm = _TERM_RE.match(chunk)
-            if not tm or (not tm.group("coeff") and not tm.group("var")):
-                raise ParseError(f"cannot parse series term {chunk!r}")
-            if tm.group("var") not in (None, var):
-                raise ParseError(f"unexpected variable in {chunk!r}")
-            coeff = _parse_rational(tm.group("coeff")) if tm.group("coeff") else Fraction(1)
-            if tm.group("var") is None:
-                k = 0
-            elif tm.group("exp") is None:
-                k = 1
-            else:
-                k = int(tm.group("exp"))
-            if k > order:
-                raise ParseError(f"term h^{k} beyond truncation order {order}")
-            coeffs[k] += sign * coeff
+    for e, c in _parse_terms(text[: m.start()], var):
+        if e.denominator != 1 or not 0 <= e <= order:
+            raise ParseError(f"term {var}^{{{e}}} is not {var}^k with 0 <= k <= {order}")
+        coeffs[int(e)] += c
     return HSeries(order, tuple(coeffs))

@@ -33,8 +33,7 @@ from itertools import permutations
 from math import lcm
 from operator import itemgetter
 
-from ._linalg import (linear_combination, mat_inv, mat_mul, row_mul_add,
-                      sparse_rows)
+from ._linalg import mat_inv, mat_mul, row_mul_add, sparse_rows
 from .diagram import UnionFind
 from .errors import (
     OpenFermionPath,
@@ -240,7 +239,8 @@ def _graded_inverse(orders):
     for k in range(1, len(orders)):
         # inv_k = -inv_0 (G_1 inv_(k-1) + ... + G_k inv_0)
         terms = [mat_mul(orders[j], inv[k - j]) for j in range(1, k + 1)]
-        inv.append(mat_mul(base, linear_combination([-1] * k, terms)))
+        inv.append(mat_mul(base, [[-sum(cells) for cells in zip(*rows)]
+                                  for rows in zip(*terms)]))
     return inv
 
 

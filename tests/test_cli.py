@@ -426,6 +426,20 @@ def test_linking_bare_curve_reports_writhe_only(capsys):
     assert payload == {"writhe": 0.0}
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--epsilon", "nan"), ("--epsilon", "inf"), ("--epsilon", "0"),
+    ("--epsilon", "-1"), ("--epsilon", "x"), ("--samples", "-1"),
+    ("--samples", "x")])
+def test_linking_bad_flag_value_exits_2_naming_only_its_flag(capsys, flag,
+                                                              value):
+    with pytest.raises(SystemExit) as exc:
+        main(["linking", "--curves", "twisted:1", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: {value!r} is not " in err
+    assert "order" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ errors return 0 or 1; usage errors leave through argparse's SystemExit(2).
 Any other exception fails the test and names the command line, and so does
 exit 0 with an order above ``MAX_SERIES_ORDER``, a built-in curve with more
 segment pairs than ``MAX_SEGMENT_PAIRS``, a link of 10^6 or more framing
-kinks, or an ``invariant`` of a wide braid whose sweep estimate is above
-``rt.MAX_SWEEP_COST``.  Inputs stay small: braids of at most 4 strands and
+kinks, an ``invariant`` of a wide braid whose sweep estimate is above
+``rt.MAX_SWEEP_COST``, a ``character`` estimate above
+``clifford.MAX_CHARACTER_COST``, or an ``--epsilon`` that is not a finite
+positive number.  Inputs stay small: braids of at most 4 strands and
 8 letters (30 for ``bracket`` and ``jones``) or a few fixed wide braids,
 orders up to 8 or above the limit, curve samples up to 128 or above the
-limit, small algebras, and ``verify`` only with malformed seeds.
+limit, small algebras or representations refused by their size limit, and
+``verify`` only with malformed seeds.
 """
 
 import contextlib
@@ -17,7 +20,7 @@ import io
 import json
 import random
 import shlex
-from math import isqrt
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 
 from rtfactor import rt
 from rtfactor.cli import main
+from rtfactor.clifford import MAX_CHARACTER_COST
 from rtfactor.confint import MAX_SEGMENT_PAIRS
 from rtfactor.diagram import CATALOG, LINK_ALIASES, resolve_link
 from rtfactor.lie import algebra_to_json, builtin
@@ -206,6 +210,11 @@ ORDERS = _mostly(st.integers(0, 8).map(str),
                  st.sampled_from([str(n) for n in _OVER_LIMIT]
                                  + ["-1", "1.5", "abc", ""]))
 
+# Carriers of 10, 13 and 1024 dimensions: the character estimate
+# n! * n * (order + 1)^2 is above its limit at every order.
+REFUSED_IRREPS = [9, 12, 1023]
+_IRREP_DIM = {f"sl2_irrep({k})": k + 1 for k in REFUSED_IRREPS}
+
 POLYS = st.one_of(
     st.sampled_from(["q + q^{-1}", "-q^{-1/2} + 2*q^{3/2}", "q^{1/0}", "1",
                      "q^{2} - 3", "0", "q^{1/3}*2"]),
@@ -239,7 +248,9 @@ ARGV = {
             ["--algebra", "sl2", "--rep", "sl2"],
             ["--algebra", "sl2", "--rep", "sl2_irrep(2)"],
             ["--algebra", "so3", "--rep", "so3"],
-            ["--algebra", "abelian(1)", "--rep", "abelian(1)"]]),
+            ["--algebra", "abelian(1)", "--rep", "abelian(1)"]]
+            + [["--algebra", "sl2", "--rep", f"sl2_irrep({k})"]
+               for k in REFUSED_IRREPS]),
             st.tuples(_required("--algebra", ALGEBRAS),
                       _required("--rep", st.sampled_from(["sl2", "e8"])))
             .map(lambda pair: pair[0] + pair[1])),
@@ -291,10 +302,24 @@ def _huge_kinks(link) -> bool:
     return isinstance(kinks, int) and abs(kinks) >= 10 ** 6
 
 
-def _over_limit(argv) -> bool:
+def _float(text) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return float("nan")
+
+
+def _must_refuse(argv) -> bool:
     flags = dict(zip(argv, argv[1:]))
     link = flags.get("--link", "")
     if _huge_kinks(link) or (link, flags.get("--algebra")) in WIDE_REFUSED:
+        return True
+    epsilon = flags.get("--epsilon")
+    if epsilon is not None and not 0 < _float(epsilon) < float("inf"):
+        return True
+    n, order = _IRREP_DIM.get(flags.get("--rep")), flags.get("--order", "")
+    if n and order.isdigit() and (
+            factorial(n) * n * (int(order) + 1) ** 2 > MAX_CHARACTER_COST):
         return True
     limits = {"--order": MAX_SERIES_ORDER, "--expand": MAX_SERIES_ORDER}
     if set(argv) & set(BUILT_IN_CURVES):
@@ -309,5 +334,5 @@ def _over_limit(argv) -> bool:
 def test_cli_exits_0_1_or_2(subcommand, data):
     argv = data.draw(ARGV[subcommand], label="argv")
     code = _run(argv)
-    assert code != 0 or not _over_limit(argv), (
-        f"rtfactor {shlex.join(argv)} accepted a size above its limit")
+    assert code != 0 or not _must_refuse(argv), (
+        f"rtfactor {shlex.join(argv)} accepted an input it must refuse")

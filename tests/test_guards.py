@@ -12,7 +12,7 @@ import importlib
 import re
 from fractions import Fraction
 from itertools import count
-from math import comb, isqrt
+from math import comb, factorial, isqrt
 from pathlib import Path
 
 import numpy as np
@@ -112,12 +112,21 @@ _RT = rt.MAX_SWEEP_COST
 # the most kinks an sl2 unknot sweep admits
 _KINKS = next(k for k in count() if _kinked_unknot_cost(k + 1) > _RT)
 
+# sl2_irrep(9) at order 4: a 10-dim determinant over 10! permutations
+_CHARACTER_10 = ("character of a 10-dim representation at order 4, estimate",
+                 factorial(10) * 10 * 5 ** 2, clifford.MAX_CHARACTER_COST)
+
 # id: (refused call, (what, size, limit), costly step (module, attribute))
 GUARDS = {
     "series-order": (
         lambda: ring.HSeries.make(ring.MAX_SERIES_ORDER + 1, [1]),
         ("series order", ring.MAX_SERIES_ORDER + 1, ring.MAX_SERIES_ORDER),
         (ring, "rat")),
+    "ring-order": (
+        lambda: ring.laurent_to_hseries(ring.LaurentPoly.q_power(1),
+                                        ring.MAX_SERIES_ORDER + 1),
+        ("series order", ring.MAX_SERIES_ORDER + 1, ring.MAX_SERIES_ORDER),
+        (ring, "_power_sums")),
     "invariant-expand": (
         lambda: _invariant(ring.MAX_SERIES_ORDER + 1),
         ("series order", ring.MAX_SERIES_ORDER + 1, ring.MAX_SERIES_ORDER),
@@ -151,6 +160,17 @@ GUARDS = {
         lambda: clifford.hh0_dimension(clifford.MAX_HH_DIM + 1),
         ("generator count", clifford.MAX_HH_DIM + 1, clifford.MAX_HH_DIM),
         (clifford, "CliffordElement")),
+    "character-identity": (
+        lambda: clifford.partition_function_identity(
+            *builtin("sl2_irrep(9)"), [1, 0, 0], 4),
+        _CHARACTER_10, (clifford, "berezin_determinant")),
+    "character-determinant": (
+        lambda: clifford.charged_character(*builtin("sl2_irrep(9)"),
+                                           [1, 0, 0], 4),
+        _CHARACTER_10, (clifford, "_matrix_exp_series")),
+    "character-wheel": (
+        lambda: clifford.wheel_term(builtin("sl2_irrep(9)")[1], [1, 0, 0], 4),
+        _CHARACTER_10, (clifford, "_matrix_powers")),
     "rt-sweep": (
         lambda: rt.framed_invariant(_kinked_unknot(_KINKS + 1),
                                     sln_fundamental_ribbon(2)),
@@ -237,6 +257,12 @@ ADMITTED = {
         (0, 0)),
     "clifford-hh0": (
         lambda: clifford.hh0_dimension(clifford.MAX_HH_DIM), 1),
+    # 7! * 7 * 7^2 = 1728720, the largest sl2_irrep estimate admitted at
+    # order 6 or more; under a second
+    "character-cost": (
+        lambda: clifford.partition_function_identity(
+            *builtin("sl2_irrep(6)"), [1, 0, 0], 6).holds,
+        True),
     # sl3 has the largest dimension admitted; the 8-sided prism costs
     # 16 * 8^5, exactly the limit, and takes well under a second.
     "weights-algebra-and-cost": (
@@ -268,6 +294,8 @@ _PRISM_9 = weights.graph_to_json(_prism(9))
 CLI_REFUSALS = [
     (["expand", "--poly", "q", "--order", "101"],
      _message("series order", 101, 100)),
+    (["character", "--algebra", "sl2", "--rep", "sl2_irrep(9)", "--element",
+      "1,0,0", "--order", "4"], _message(*_CHARACTER_10)),
     (["cohomology", "--algebra", "abelian(16)"],
      _message("algebra dimension", 16, 15)),
     (["cohomology", "--algebra", "sl2", "--coefficients",

@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtfactor.errors import ConstantTermViolation, DimensionTooLarge, ParseError
 from rtfactor.ring import (
     MAX_SERIES_ORDER,
     HSeries,
     LaurentPoly,
-    exp_rational_series,
     format_hseries,
     format_laurent,
     laurent_to_hseries,
@@ -301,9 +303,30 @@ def test_laurent_to_hseries_is_ring_map():
     assert laurent_to_hseries(LaurentPoly.one(), 3) == HSeries.const(1, 3)
 
 
-def test_exp_rational_series_matches_definition():
-    s = exp_rational_series(Fraction(1, 2), 3)
-    assert s.coeffs == (Fraction(1), Fraction(1, 2), Fraction(1, 8), Fraction(1, 48))
+def _per_term_expansion(p, order):
+    """The expansion one term at a time: c * u^e -> c * exp(e h / N)."""
+    result = HSeries.zero(order)
+    for e, c in p.terms:
+        r = Fraction(e, p.root_order)
+        result = result + HSeries.make(
+            order, [r ** m / factorial(m) for m in range(order + 1)]) * c
+    return result
+
+
+def test_laurent_to_hseries_matches_per_term_exp_series():
+    rng = random.Random(20261019)
+    for root_order in range(1, 13):
+        for order in range(9):
+            p = LaurentPoly.from_terms(root_order, {
+                rng.randint(-30, 30): Fraction(rng.randint(-9, 9),
+                                               rng.choice([1, 1, 2, 3, 7]))
+                for _ in range(rng.randint(0, 6))})
+            s = laurent_to_hseries(p, order)
+            assert s == _per_term_expansion(p, order), (p, order)
+            assert all(type(c) is Fraction for c in s.coeffs)
+    # u^1 at N = 2 is exp(h/2)
+    assert laurent_to_hseries(q(1, 2), 3).coeffs == (
+        Fraction(1), Fraction(1, 2), Fraction(1, 8), Fraction(1, 48))
 
 
 # -- series rendering / parsing ------------------------------------------------
@@ -324,8 +347,44 @@ def test_parse_hseries_roundtrip_random():
         assert parse_hseries(format_hseries(s)) == s
 
 
+@pytest.mark.parametrize("text", ["3^2 + O(h^3)", "h^{-1} + O(h^3)",
+                                  "h^{1/2} + O(h^3)", "1 + h^3 + O(h^3)"])
+def test_parse_hseries_rejects_terms_that_are_not_powers_of_h(text):
+    with pytest.raises(ParseError):
+        parse_hseries(text)
+
+
 def test_parse_hseries_needs_bigo():
     with pytest.raises(ParseError):
         parse_hseries("1 + h")
     with pytest.raises(ParseError):
         parse_hseries("1 + h^9 + O(h^3)")
+
+
+# -- round trips of the canonical renderings -------------------------------------
+
+ROUND_TRIP = settings(derandomize=True, database=None, max_examples=200,
+                      deadline=None)
+VARIABLES = st.sampled_from(["q", "t", "A", "h"])
+COEFFS = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+LAURENT = st.builds(LaurentPoly.from_terms, st.integers(1, 12),
+                    st.dictionaries(st.integers(-40, 40), COEFFS, max_size=8))
+SERIES = st.integers(0, 10).flatmap(lambda order: st.lists(
+    COEFFS, min_size=order + 1, max_size=order + 1).map(
+        lambda cs: HSeries.make(order, cs)))
+
+
+@ROUND_TRIP
+@given(p=LAURENT, var=VARIABLES)
+def test_laurent_rendering_round_trips(p, var):
+    text = format_laurent(p, var)
+    assert parse_laurent(text, var) == p
+    assert format_laurent(parse_laurent(text, var), var) == text
+
+
+@ROUND_TRIP
+@given(s=SERIES, var=VARIABLES)
+def test_series_rendering_round_trips(s, var):
+    text = format_hseries(s, var)
+    assert parse_hseries(text, var) == s
+    assert format_hseries(parse_hseries(text, var), var) == text
