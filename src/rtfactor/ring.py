@@ -191,13 +191,11 @@ class LaurentPoly:
         """Exact division; raises ValueError when d does not divide self."""
         if d.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero:
-            return LaurentPoly.zero()
         n, a, b = self._aligned(d)
         rem = dict(a)
         d_low, d_low_c = b[0]
         # every quotient exponent lies in [min a - min b, max a - max b]
-        top = max(rem) - b[-1][0]
+        top = max(rem, default=0) - b[-1][0]
         quo: dict[int, int | Fraction] = {}
         # peel from the bottom; each step strictly raises the lowest exponent
         while rem:
@@ -205,15 +203,14 @@ class LaurentPoly:
             t_e = r_low - d_low
             if t_e > top:
                 raise ValueError("not exactly divisible")
-            t_c = rat(rem[r_low]) / d_low_c
-            quo[t_e] = t_c
+            t_c, r = divmod(rem[r_low], d_low_c)  # an int when d_low_c divides
+            quo[t_e] = t_c = rat(rem[r_low]) / d_low_c if r else t_c
             for eb, cb in b:
                 e = eb + t_e
-                v = rem.get(e, 0) - cb * t_c
-                if v:
+                if v := rem.get(e, 0) - cb * t_c:
                     rem[e] = v
-                elif e in rem:
-                    del rem[e]
+                else:
+                    rem.pop(e, None)
         return _canon(n, quo)
 
 
@@ -243,6 +240,16 @@ def _canon(root_order: int, coeffs: dict[int, int | Fraction]) -> LaurentPoly:
             clean = {e // g: c for e, c in clean.items()}
             root_order //= g
     return LaurentPoly(root_order, tuple(sorted(clean.items())))
+
+
+def drop_zeros(entries: dict) -> dict:
+    """Drop zero terms, then empty keys, of {key: {exponent: c}} in place."""
+    for key in [key for key, poly in entries.items() if 0 in poly.values()]:
+        if kept := {e: c for e, c in entries[key].items() if c}:
+            entries[key] = kept
+        else:
+            del entries[key]
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +481,8 @@ def _parse_terms(text: str, var: str) -> list[tuple]:
     out = []
     sign = 1
     pieces = _SIGN_RE.split(text)
+    if len(pieces) > 1 and not pieces[-1].strip():
+        raise ParseError(f"sign with no term after it in {text!r}")
     for chunk, separator in zip(pieces[::2], pieces[1::2] + [""]):
         chunk = chunk.strip()
         if chunk:

@@ -13,7 +13,8 @@ one root order.  Each piece acts through the nonzero entries of its local
 matrix only: a crossing sends the labels at its two positions through the
 braiding (or its inverse), a cup inserts each nonzero coevaluation pair
 and a cap contracts its pair against the evaluation; entries that cancel
-are dropped after every slice.  LaurentPoly values and the dense matrix
+are dropped after every slice.  The move tables of a representation are
+built on its first sweep and kept.  LaurentPoly values and the dense matrix
 (rows indexed by output labels, position 0 the most significant digit)
 are built once, at the end.
 """
@@ -45,9 +46,9 @@ from .quantum_group import (
     ribbon_twist,  # unused here; perfbench/tracing.py wraps rt.ribbon_twist
     sln_fundamental_ribbon,
 )
-from .ring import HSeries, LaurentPoly, laurent_to_hseries, series_inverse
+from .ring import HSeries, LaurentPoly, drop_zeros, laurent_to_hseries, series_inverse
 
-# At most about 0.7 microseconds per unit: at the limit a sweep takes 1-7 s.
+# At most about 0.6 microseconds per unit: at the limit a sweep takes 0.5-6 s.
 MAX_SWEEP_COST = 10_000_000
 
 
@@ -100,6 +101,22 @@ def _local_moves(matrix, n, arity_in, arity_out, order):
     return moves
 
 
+@lru_cache(maxsize=16)
+def _pieces(rep: RibbonRep):
+    """Root order of rep's entries, and piece -> (strands in, out, moves)."""
+    order = lcm(*(c.root_order for m in (rep.R, rep.R_inv, rep.cup, rep.cap)
+                  for row in m for c in row if c))
+    return order, {
+        ID: (1, 1, {(a,): [((a,), [(0, 1)])] for a in range(rep.n)}),
+        POS_CROSS: (2, 2, _local_moves(rep.R, rep.n, 2, 2, order)),
+        NEG_CROSS: (2, 2, _local_moves(rep.R_inv, rep.n, 2, 2, order)),
+        CUP: (0, 2, _local_moves([(c,) for row in rep.cup for c in row],
+                                 rep.n, 0, 2, order)),
+        CAP: (2, 0, _local_moves([[c for row in rep.cap for c in row]],
+                                 rep.n, 2, 0, order)),
+    }
+
+
 def evaluate_sliced_tangle(t: SlicedTangle, rep: RibbonRep) -> TangleValue:
     """Compose the slice operators left to right and return the matrix.
 
@@ -113,21 +130,8 @@ def evaluate_sliced_tangle(t: SlicedTangle, rep: RibbonRep) -> TangleValue:
     cost, peak = sweep_cost(t, n)
     check_size(f"RT sweep of {len(t.slices)} slices, peak width {peak}, "
                "estimate", cost, MAX_SWEEP_COST)
-    order = lcm(*(c.root_order for m in (rep.R, rep.R_inv, rep.cup, rep.cap)
-                  for row in m for c in row if c))
-    # piece -> (strands consumed, strands produced, local moves)
-    pieces = {
-        ID: (1, 1, {(a,): [((a,), [(0, 1)])] for a in range(n)}),
-        POS_CROSS: (2, 2, _local_moves(rep.R, n, 2, 2, order)),
-        NEG_CROSS: (2, 2, _local_moves(rep.R_inv, n, 2, 2, order)),
-        CUP: (0, 2, _local_moves([(c,) for row in rep.cup for c in row],
-                                 n, 0, 2, order)),
-        CAP: (2, 0, _local_moves([[c for row in rep.cap for c in row]],
-                                 n, 2, 0, order)),
-    }
+    order, pieces = _pieces(rep)
     width = t.input_arity
-    # (strand labels of the current slice, input column) -> {exponent of
-    # q^(1/order): coefficient}; only nonzero entries are kept.
     state = {(labels, col): {0: 1} for col, labels
              in enumerate(product(range(n), repeat=width))}
     for piece, pos in t.slices:
@@ -144,8 +148,7 @@ def evaluate_sliced_tangle(t: SlicedTangle, rep: RibbonRep) -> TangleValue:
                 for f, d in terms:
                     for e, c in poly.items():
                         acc[e + f] = acc.get(e + f, 0) + c * d
-        state = {key: kept for key, poly in new.items()
-                 if (kept := {e: c for e, c in poly.items() if c})}
+        state = drop_zeros(new)
         width += produced - span
     return TangleValue(t.input_arity, width, n, tuple(
         tuple(LaurentPoly.from_terms(order, state.get((out, col), {}))

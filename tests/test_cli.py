@@ -156,6 +156,14 @@ def test_expand_rejects_negative_order():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("poly", ["q +", "-", "q^{2} - "])
+def test_expand_refuses_a_dangling_sign(capsys, poly):
+    code, out, err = run_cli(capsys, "expand", "--poly", poly, "--order", "2")
+    assert code == 1
+    assert not out
+    assert err.startswith("error:") and "sign with no term after it" in err
+
+
 _CHARACTER = ["character", "--algebra", "sl2", "--rep", "sl2",
               "--element", "1,0,0", "--order"]
 _ORDERED = [["expand", "--poly", "q + q^{-1}", "--normalize", "--order"],

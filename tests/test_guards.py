@@ -176,7 +176,7 @@ GUARDS = {
                                     sln_fundamental_ribbon(2)),
         (f"RT sweep of {3 * _KINKS + 5} slices, peak width 4, estimate",
          _kinked_unknot_cost(_KINKS + 1), _RT),
-        (rt, "_local_moves")),
+        (rt, "_pieces")),  # the move tables, cached or not
     "closure-kinks": (
         lambda: _kinked_unknot(10 ** 12),
         (f"closure of B1 with {10 ** 12} crossings, sweep estimate at least",

@@ -1,7 +1,8 @@
 """Which modules importing the package and running a command load.
 
 numpy is imported by ``rtfactor.confint`` only, and the acceptance suite by
-``verify`` only, so the exact-arithmetic commands start without either.
+``verify`` only, so the exact-arithmetic commands start without either; the
+RT move tables are built on the first sweep, not at import.
 Each check runs in a fresh interpreter: this test session has long since
 imported both.
 """
@@ -15,20 +16,26 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 WATCHED = ("numpy", "rtfactor.acceptance", "rtfactor.confint")
 
 
-def loaded_after(statements: str) -> set:
+def fresh(statements: str, report: str):
     """Run ``statements`` in a new interpreter with src/ first on the path;
-    return the modules of WATCHED that are loaded afterwards."""
+    return the JSON value of the expression ``report`` afterwards."""
     script = "\n".join([
         "import sys",
         f"sys.path.insert(0, {str(SRC)!r})",
         statements,
         "import json",
-        f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))",
+        f"print(json.dumps({report}))",
     ])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def loaded_after(statements: str) -> set:
+    """The modules of WATCHED that are loaded after ``statements``."""
+    return set(fresh(statements,
+                     f"[m for m in {WATCHED!r} if m in sys.modules]"))
 
 
 def test_package_import_loads_neither_numpy_nor_acceptance():
@@ -49,3 +56,17 @@ def test_linking_command_loads_the_curve_integrals():
         "from rtfactor import cli\n"
         "assert cli.main(['linking', '--curves', 'hopf']) == 0")
     assert "rtfactor.confint" in loaded
+
+
+def test_package_import_builds_no_move_table():
+    # The RT move tables are built by the first sweep of a representation,
+    # so an import or a bracket adds no table work to a cold start.
+    tables = "sys.modules['rtfactor.rt']._pieces.cache_info().currsize"
+    assert fresh("import rtfactor, rtfactor.rt, rtfactor.kauffman",
+                 tables) == 0
+    assert fresh("from rtfactor import cli\n"
+                 "assert cli.main(['bracket', '--link', 'trefoil']) == 0",
+                 tables) == 0
+    assert fresh("from rtfactor import cli\n"
+                 "assert cli.main(['invariant', '--link', 'trefoil', "
+                 "'--algebra', 'sl2', '--framed']) == 0", tables) == 1

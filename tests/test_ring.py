@@ -128,6 +128,31 @@ def test_divide_exact_long_quotient():
         q(1).divide_exact(q(2) + one)
 
 
+def test_divide_exact_undoes_multiplication():
+    # seeded p * d / d == p over int and Fraction coefficients, with divisors
+    # whose lowest coefficient is 1, 2 (2 + q) or a Fraction; int inputs give
+    # int quotients
+    rng = random.Random(19)
+    one = LaurentPoly.one()
+    # the loop value -q^2 - q^-2, a quantum dimension q^-1 + 1 + q, ...
+    divisors = [-q(2) - q(-2), q(-1) + 1 + q(1), 2 * q(1) + one, q(1) + 2,
+                q(-1, 2) * Fraction(3, 4) + q(3, 2) * 5]
+    for _ in range(60):
+        coeffs = [rng.randint(-9, 9) if rng.random() < 0.5 else
+                  Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                  for _ in range(rng.randint(0, 6))]
+        p = LaurentPoly.from_terms(rng.choice([1, 2]), {
+            rng.randint(-8, 8): c for c in coeffs})
+        for d in divisors:
+            quo = (p * d).divide_exact(d)
+            assert quo == p
+            if all(type(c) is int for _, c in (p * d).terms + d.terms):
+                assert all(type(c) is int for _, c in quo.terms)
+            if p and len(d.terms) > 1:
+                with pytest.raises(ValueError, match="not exactly divisible"):
+                    (p * d + q(40)).divide_exact(d)
+
+
 def test_divide_exact_non_integral_quotient():
     one = LaurentPoly.one()
     quo = (q(2) - one).divide_exact(2 * q(1) - 2)
@@ -193,6 +218,14 @@ def test_parse_laurent_rejects_garbage():
         parse_laurent("q + *")
     with pytest.raises(ParseError):
         parse_laurent("t^{2}", var="q")
+    for dangling in ("q +", "-", "+", "q - ", "1 + q -"):
+        with pytest.raises(ParseError, match="sign with no term after it"):
+            parse_laurent(dangling)
+
+
+def test_parse_laurent_reads_repeated_signs():
+    assert parse_laurent("q - - q") == 2 * q(1)
+    assert parse_laurent("- - q + -1") == q(1) - 1
 
 
 @pytest.mark.parametrize("text", ["q^{1/0}", "q^{-3/0}", "3/0*q", "1 + 1/0"])
@@ -348,7 +381,8 @@ def test_parse_hseries_roundtrip_random():
 
 
 @pytest.mark.parametrize("text", ["3^2 + O(h^3)", "h^{-1} + O(h^3)",
-                                  "h^{1/2} + O(h^3)", "1 + h^3 + O(h^3)"])
+                                  "h^{1/2} + O(h^3)", "1 + h^3 + O(h^3)",
+                                  "1 + h - + O(h^3)", "- + O(h^3)"])
 def test_parse_hseries_rejects_terms_that_are_not_powers_of_h(text):
     with pytest.raises(ParseError):
         parse_hseries(text)

@@ -186,6 +186,24 @@ def test_non_integral_rep_matches_builtin_and_kron_oracle(n):
             t.slices
 
 
+def test_move_tables_follow_the_representation_swept():
+    # The rescaled and the builtin sl2 data share n and root order but not
+    # their cup and cap entries, so a table cache keyed on anything less
+    # than the representation itself answers one with the other's tables.
+    rescaled, builtin = _rescaled_rep(2), sln_fundamental_ribbon(2)
+    rng = random.Random(19)
+    tangles = [_random_tangle(rng, rng.randint(0, 2), 4, False)
+               for _ in range(12)]
+    differ = False
+    for t in tangles:
+        answers = [evaluate_sliced_tangle(t, rep).matrix
+                   for rep in (rescaled, builtin, rescaled)]
+        assert answers[0] == answers[2] == _kron_oracle(t, rescaled), t.slices
+        assert answers[1] == _kron_oracle(t, builtin), t.slices
+        differ |= answers[0] != answers[1]
+    assert differ
+
+
 def test_identity_strand_gives_identity_matrix():
     for n in (2, 3):
         rep = sln_fundamental_ribbon(n)
