@@ -12,6 +12,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 from time import perf_counter
 
@@ -260,15 +261,16 @@ _CARTAN_CASES = (
 
 
 def _diagonal_weights(rep, coords) -> list[Fraction]:
-    n = rep.dim
-    entries = [[sum((Fraction(c) * rep.matrices[a][i][j]
-                     for a, c in enumerate(coords)), Fraction(0))
-                for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and entries[i][j] != 0:
-                raise ValueError("element is not Cartan-diagonal here")
-    return [entries[i][i] for i in range(n)]
+    """The diagonal of M = sum_a c_a rho(e_a), summed entry by entry from
+    the rows; ValueError when M is not diagonal."""
+    m = [{} for _ in range(rep.dim)]
+    for c, rows in zip(coords, rep.rows):
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                m[i][j] = m[i].get(j, 0) + c * v
+    if any(v for i, row in enumerate(m) for j, v in row.items() if i != j):
+        raise ValueError("element is not Cartan-diagonal here")
+    return [Fraction(row.get(i, 0)) for i, row in enumerate(m)]
 
 
 def check_character_identities(rng) -> tuple[bool, str]:
@@ -280,13 +282,12 @@ def check_character_identities(rng) -> tuple[bool, str]:
         result = partition_function_identity(g, rep, coords, order)
         if not result.holds:
             return False, f"{name}: two-route series disagree"
-        weights = _diagonal_weights(rep, coords)
-        product = HSeries.const(Fraction(1), order)
-        for w in weights:
+        expected = HSeries.const(Fraction(1), order)
+        for w in _diagonal_weights(rep, coords):
             half = series_exp(HSeries.make(order, [Fraction(0), w / 2]))
             other = series_exp(HSeries.make(order, [Fraction(0), -w / 2]))
-            product = product * (half - other)
-        if charged_character(g, rep, coords, order) != product:
+            expected = expected * (half - other)
+        if charged_character(g, rep, coords, order) != expected:
             return False, f"{name}: character is not the weight product"
     return True, (f"{len(_CARTAN_CASES)} Cartan cases agree to order {order}, "
                   "both routes and weight products")
@@ -304,20 +305,11 @@ def check_wheel_bernoulli(rng) -> tuple[bool, str]:
     order = 8
     for name, coords in _CARTAN_CASES:
         _, rep = builtin(name)
-        n = rep.dim
-        m = [[sum((Fraction(c) * rep.matrices[a][i][j]
-                   for a, c in enumerate(coords)), Fraction(0))
-              for j in range(n)] for i in range(n)]
-        power = [[Fraction(1 if i == j else 0) for j in range(n)]
-                 for i in range(n)]
-        traces = [Fraction(n)]
-        for _ in range(order):
-            power = [[sum((power[i][k] * m[k][j] for k in range(n)),
-                          Fraction(0)) for j in range(n)] for i in range(n)]
-            traces.append(sum((power[i][i] for i in range(n)), Fraction(0)))
+        weights = _diagonal_weights(rep, coords)
         coeffs = [Fraction(0)] * (order + 1)
         for k, bern in _BERNOULLI.items():
-            coeffs[k] = bern * traces[k] / (k * factorial(k))
+            # trace M^k of the diagonal M
+            coeffs[k] = bern * sum(w ** k for w in weights) / (k * factorial(k))
         if wheel_term(rep, coords, order) != HSeries.make(order, coeffs):
             return False, f"{name}: wheel series differs from Bernoulli form"
     _, rep = builtin("abelian(2)")
@@ -355,16 +347,10 @@ def _theta_brute_force(g) -> Fraction:
     lowered = [[[sum(f[a][b][x] * kill[x][c] for x in range(dim))
                  for c in range(dim)] for b in range(dim)]
                for a in range(dim)]
-    total = Fraction(0)
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                for d in range(dim):
-                    for e in range(dim):
-                        for h in range(dim):
-                            total += (lowered[a][b][c] * lowered[d][e][h]
-                                      * inv[a][d] * inv[b][h] * inv[c][e])
-    return total
+    return sum((lowered[a][b][c] * lowered[d][e][h]
+                * inv[a][d] * inv[b][h] * inv[c][e]
+                for a, b, c, d, e, h in product(range(dim), repeat=6)),
+               Fraction(0))
 
 
 def check_weight_relations(rng) -> tuple[bool, str]:

@@ -78,18 +78,6 @@ def cl_element(d: int, terms: dict) -> CliffordElement:
     return CliffordElement(d, tuple(sorted(clean.items())))
 
 
-def cl_one(d: int) -> CliffordElement:
-    return cl_element(d, {(0, 0): 1})
-
-
-def x_gen(d: int, i: int) -> CliffordElement:
-    return cl_element(d, {(0, 1 << i): 1})
-
-
-def xbar_gen(d: int, i: int) -> CliffordElement:
-    return cl_element(d, {(1 << i, 0): 1})
-
-
 def _count_above(mask: int, i: int) -> int:
     return bin(mask >> (i + 1)).count("1")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurvesIntersect, ParseError, check_size
+from .errors import CurvesIntersect, ParseError, check_size, load_json
 
 MIN_POINTS = 8
 
@@ -25,6 +25,12 @@ MAX_SEGMENT_PAIRS = 2048 * 2048
 
 # Segment midpoints closer than this are treated as a collision.
 INTERSECTION_TOLERANCE = 1e-8
+
+# Larger coordinates and push-offs are refused: up to it, the integrand's
+# triple products and cubed separations stay below 1.5e302, far from the
+# float maximum 1.8e308; past about 1e102 they overflow and the integral
+# reads 0 or nan.
+COORDINATE_LIMIT = 1e100
 
 _TINY = 1e-12
 
@@ -51,8 +57,8 @@ def make_param_curve(points, framing=None) -> ParamCurve:
         raise ParseError("points must be an N x 3 array")
     if pts.shape[0] < MIN_POINTS:
         raise ParseError(f"need at least {MIN_POINTS} points, got {pts.shape[0]}")
-    if not np.all(np.isfinite(pts)):
-        raise ParseError("points must be finite")
+    if not np.all(np.abs(pts) <= COORDINATE_LIMIT):  # nan fails too
+        raise ParseError(f"points must be finite, at most {COORDINATE_LIMIT:g}")
     steps = np.roll(pts, -1, axis=0) - pts
     if float(np.linalg.norm(steps, axis=1).min()) < _TINY:
         raise ParseError("consecutive points must be distinct")
@@ -87,7 +93,8 @@ def _gauss_integral(pts1: np.ndarray, pts2: np.ndarray, self_pairs=False) -> flo
     """Midpoint-rule Gauss integral over all segment pairs, 32 rows at a time
     with the operations of the stacked cross/einsum form (so the same bits).
     Collisions raise; with ``self_pairs`` a segment's pair with itself is
-    +0.0, since its separation and cross product are exactly +0.0."""
+    exempt (its separation is set to 1.0) and adds +0.0, since its
+    difference vector and cross product are exactly +0.0."""
     cols1 = np.hstack(_segments(pts1))[:, :, None].transpose(1, 0, 2)
     x2, y2, z2, u2, v2, w2 = np.hstack(_segments(pts2)).T
     out = np.empty((len(pts1), len(pts2)))
@@ -97,7 +104,7 @@ def _gauss_integral(pts1: np.ndarray, pts2: np.ndarray, self_pairs=False) -> flo
         dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
         if self_pairs:
             np.fill_diagonal(dist[:, s:], 1.0)
-        elif float(dist.min()) < INTERSECTION_TOLERANCE:
+        if float(dist.min()) < INTERSECTION_TOLERANCE:
             raise CurvesIntersect("curves pass within the collision tolerance")
         out[s:s + 32] = ((dx * (v1 * w2 - w1 * v2) + dz * (u1 * v2 - v1 * u2))
                          + dy * (w1 * u2 - u1 * w2)) / dist**3
@@ -119,6 +126,8 @@ def framed_self_linking(c: ParamCurve, epsilon: float) -> float:
     """Linking of a framed curve with its push-off along the framing."""
     if c.framing is None:
         raise ParseError("framed_self_linking needs a framed curve")
+    if not abs(epsilon) <= COORDINATE_LIMIT:
+        raise ParseError(f"push-off must be at most {COORDINATE_LIMIT:g}")
     displaced = ParamCurve(c.points + epsilon * c.framing, None)
     return gauss_linking(c, displaced)
 
@@ -269,14 +278,6 @@ def curve_to_json(c: ParamCurve) -> str:
     return json.dumps(payload)
 
 
-def curve_from_json(text: str) -> ParamCurve:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad curve JSON: {exc}") from None
-    return _curve_from_payload(payload)
-
-
 def _curve_from_payload(payload) -> ParamCurve:
     if not isinstance(payload, dict) or "points" not in payload:
         raise ParseError("curve JSON must be an object with a points field")
@@ -288,10 +289,7 @@ def _curve_from_payload(payload) -> ParamCurve:
 
 def curves_from_json(text: str) -> tuple[ParamCurve, ...]:
     """One curve object, or a list of them, from a JSON document."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad curve JSON: {exc}") from None
+    payload = load_json(text, "curve")
     if isinstance(payload, list):
         if not payload:
             raise ParseError("curve list is empty")

@@ -16,7 +16,6 @@ framing is a curl on the last strand: the closure is at most 2s + 2 wide.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from itertools import accumulate
@@ -28,6 +27,7 @@ from .errors import (
     ParseError,
     UnknownName,
     check_size,
+    load_json,
 )
 
 ID = "id"
@@ -61,15 +61,14 @@ def parse_braid(text: str) -> BraidWord:
     m = _BRAID_RE.match(text)
     if not m:
         raise ParseError(f"cannot parse braid {text!r}")
-    strands = int(m.group(1))
-    body = m.group(2)
-    word = []
-    if body:
-        for chunk in body.split(","):
-            chunk = chunk.strip()
-            if not re.fullmatch(r"-?\d+", chunk):
-                raise ParseError(f"bad braid letter {chunk!r}")
-            word.append(int(chunk))
+    chunks = [c.strip() for c in m.group(2).split(",")] if m.group(2) else []
+    for chunk in chunks:
+        if not re.fullmatch(r"-?\d+", chunk):
+            raise ParseError(f"bad braid letter {chunk!r}")
+    try:
+        strands, word = int(m.group(1)), [int(chunk) for chunk in chunks]
+    except ValueError as exc:  # a number past the int/str digit limit
+        raise ParseError(f"bad braid number: {exc}") from None
     return make_braid(strands, word)
 
 
@@ -300,10 +299,7 @@ CATALOG: dict[str, LinkSpec] = {
 
 def link_from_json(text: str) -> LinkSpec:
     """Parse `{"braid": {"strands": s, "word": [...]}, "framing_kinks": k}`."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad link JSON: {e}") from None
+    data = load_json(text, "link")
     if not isinstance(data, dict) or "braid" not in data:
         raise ParseError("link JSON needs a 'braid' object")
     braid = data["braid"]

@@ -5,6 +5,8 @@ code can distinguish "bad input / bad math" (exit 1) from genuine bugs.
 """
 from __future__ import annotations
 
+import json
+
 
 class RTFactorError(Exception):
     """Base class for all domain errors."""
@@ -46,6 +48,16 @@ def check_size(what: str, size: int, limit: int) -> None:
     """
     if size > limit:
         raise DimensionTooLarge(f"{what} {size} exceeds the limit {limit}")
+
+
+def load_json(text: str, what: str):
+    """``json.loads``, with any ValueError as ParseError("bad <what> JSON:
+    ..."): a syntax error, or an integer longer than Python's int/str
+    digit limit (4300 digits by default)."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"bad {what} JSON: {exc}") from None
 
 
 class DimensionMismatch(RTFactorError):

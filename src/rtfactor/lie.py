@@ -2,11 +2,12 @@
 
 An algebra is stored as its brackets: ``brackets[a][b]`` is the sparse row
 {c: f_ab^c} of the bracket of basis elements a and b over its nonzero
-structure constants, with ints where integral.  A representation keeps one
-list of such {column: value} rows per basis element in ``rows``.  Every
-computation reads the rows; ``structure_constants`` and
-``Representation.matrices`` are dense views for oracles and interchange.
-Construction validates antisymmetry and the Jacobi identity exactly.
+structure constants, with ints where integral.  A representation is stored
+only as such rows: ``rows[a]`` lists the {column: value} rows of the matrix
+of basis element a.  Every computation reads the rows; the dense views
+``structure_constants`` and ``Representation.matrices`` are built on first
+use, for oracles and interchange.  Construction validates antisymmetry and
+the Jacobi identity exactly.
 
 Builtin algebras come with a distinguished matrix representation where one
 exists (defining/fundamental); all matrices act on column vectors.
@@ -22,7 +23,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 # mat_mul is unused here but stays importable: perfbench/tracing.py wraps lie.mat_mul
-from ._linalg import exact_rank, mat_mul, row_mul_add, sparse_rows
+from ._linalg import mat_mul, row_mul_add, sparse_rows
 from .errors import (
     AntisymmetryViolation,
     DimensionMismatch,
@@ -30,16 +31,16 @@ from .errors import (
     ParseError,
     UnknownName,
     check_size,
+    load_json,
 )
-from .ring import rat
 
 # JSON parsing and builtin() refuse larger algebras before building their
 # dim^2 bracket rows and checking Jacobi on their C(dim, 3) triples (1.6 ms
 # for the 455 triples of sln_fundamental(4)); 15 admits sln_fundamental(4).
 MAX_PARSED_ALGEBRA_DIM = 15
-# builtin() refuses larger sl2_irrep carriers: the dense matrices view costs
-# the square of the carrier dimension, the rows and their check are linear
-# (0.09 s in all at 1024, 0.01 s of it the check).
+# builtin() refuses larger sl2_irrep carriers.  Their rows build in linear
+# time (8 ms at 1024); the limit bounds the Betti ranks over one, which grow
+# about as its square: 0.9 s for the complex at 1024, 3.9 s at 2048.
 MAX_IRREP_DIM = 1024
 
 
@@ -55,20 +56,35 @@ class LieAlgebra:
                      for plane in self.brackets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Representation:
     dim: int  # dimension of the carrier space
-    matrices: tuple  # one (dim x dim) matrix per basis element of the algebra
+    rows: list  # rows[a][i] = {j: value}, ints where integral, one matrix per a
+
+    def __init__(self, dim: int, matrices) -> None:
+        """From one dense dim x dim matrix per basis element of the algebra;
+        DimensionMismatch on a matrix of another shape."""
+        for m in matrices:
+            if len(m) != dim or any(len(row) != dim for row in m):
+                raise DimensionMismatch("representation matrix has wrong shape")
+        _store(self, dim, [sparse_rows(m) for m in matrices])
 
     @cached_property
-    def rows(self) -> list:
-        """Each matrix as sparse {column: value} rows, ints where integral;
-        DimensionMismatch on a matrix that is not dim x dim."""
-        n = self.dim
-        for m in self.matrices:
-            if len(m) != n or any(len(row) != n for row in m):
-                raise DimensionMismatch("representation matrix has wrong shape")
-        return [sparse_rows(m) for m in self.matrices]
+    def matrices(self) -> tuple:
+        """Dense view: one (dim x dim) tuple of Fractions per basis element."""
+        return tuple(tuple(_dense_row(row, self.dim) for row in m)
+                     for m in self.rows)
+
+
+def _store(rep: Representation, dim: int, rows: list) -> Representation:
+    object.__setattr__(rep, "dim", dim)
+    object.__setattr__(rep, "rows", rows)
+    return rep
+
+
+def _from_rows(n: int, rows: list) -> Representation:
+    """A representation stored as the sparse rows given, with no dense pass."""
+    return _store(object.__new__(Representation), n, rows)
 
 
 def _dense_row(row: dict, n: int) -> tuple:
@@ -78,46 +94,11 @@ def _dense_row(row: dict, n: int) -> tuple:
     return tuple(cells)
 
 
-def _from_rows(n: int, rows: list) -> Representation:
-    """A representation built from its sparse rows, which seed ``rows``."""
-    rep = Representation(n, tuple(tuple(_dense_row(row, n) for row in m)
-                                  for m in rows))
-    rep.__dict__["rows"] = rows
-    return rep
-
-
 @dataclass(frozen=True)
 class InvariantPairing:
     """Bilinear form on the algebra, graded by powers of h: G0 + h*G1 + ..."""
 
     orders: tuple  # tuple of square matrices, orders[k] at h^k
-
-
-@dataclass(frozen=True)
-class PairingViolation:
-    kind: str       # "shape" | "symmetry" | "degenerate" | "invariance"
-    order: int      # h-order where the check failed
-    indices: tuple  # offending index tuple (empty for rank failures)
-
-
-@dataclass(frozen=True)
-class PairingReport:
-    ok: bool
-    violations: tuple
-
-
-def make_lie_algebra(structure_constants) -> LieAlgebra:
-    """Validate structure constants and freeze them into a LieAlgebra.
-
-    Raises AntisymmetryViolation or JacobiViolation naming the offending
-    indices; DimensionMismatch when the array is not cubic.
-    """
-    d = len(structure_constants)
-    for plane in structure_constants:
-        if len(plane) != d or any(len(row) != d for row in plane):
-            raise DimensionMismatch("structure constant array is not cubic")
-    return _checked_algebra([[dict(enumerate(map(rat, row))) for row in plane]
-                             for plane in structure_constants])
 
 
 def _checked_algebra(rows) -> LieAlgebra:
@@ -162,38 +143,6 @@ def killing_form(g: LieAlgebra) -> list[list[Fraction]]:
     return kappa
 
 
-def is_semisimple(g: LieAlgebra) -> bool:
-    """Cartan's criterion: the Killing form is nondegenerate."""
-    return exact_rank(killing_form(g)) == g.dim
-
-
-def check_invariant_pairing(g: LieAlgebra, pairing: InvariantPairing) -> PairingReport:
-    """Verify symmetry, order-0 nondegeneracy, and ad-invariance per h-order."""
-    d = g.dim
-    br = g.brackets
-    violations = []
-    for k, G in enumerate(pairing.orders):
-        if len(G) != d or any(len(row) != d for row in G):
-            violations.append(PairingViolation("shape", k, ()))
-            continue
-        for i in range(d):
-            for j in range(i + 1, d):
-                if G[i][j] != G[j][i]:
-                    violations.append(PairingViolation("symmetry", k, (i, j)))
-    if not violations:
-        if exact_rank(pairing.orders[0]) != d:
-            violations.append(PairingViolation("degenerate", 0, ()))
-        for k, G in enumerate(pairing.orders):
-            for a in range(d):
-                for b in range(d):
-                    for c in range(d):
-                        acc = (sum(v * G[m][c] for m, v in br[a][b].items())
-                               + sum(v * G[b][m] for m, v in br[a][c].items()))
-                        if acc:
-                            violations.append(PairingViolation("invariance", k, (a, b, c)))
-    return PairingReport(not violations, tuple(violations))
-
-
 def check_bracket_compatible(g: LieAlgebra, rows, what: str) -> None:
     """Assert [rho(e_a), rho(e_b)] = sum_c f_ab^c rho(e_c) on all basis
     pairs, for rho given as one list of sparse rows per basis element.
@@ -231,8 +180,7 @@ def _sl2() -> tuple[LieAlgebra, Representation]:
     g = _checked_algebra([[{}, {1: 2}, {2: -2}],
                           [{1: -2}, {}, {0: 1}],
                           [{2: 2}, {0: -1}, {}]])
-    rep = _from_rows(2, [[{0: 1}, {1: -1}], [{1: 1}, {}], [{}, {0: 1}]])
-    return g, rep
+    return g, _from_rows(2, [[{0: 1}, {1: -1}], [{1: 1}, {}], [{}, {0: 1}]])
 
 
 def _sl2_irrep(k: int) -> tuple[LieAlgebra, Representation]:
@@ -359,10 +307,7 @@ def algebra_from_json(text: str) -> LieAlgebra:
     bad dimension or an index out of range, DimensionTooLarge above
     MAX_PARSED_ALGEBRA_DIM.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad algebra JSON: {exc}") from None
+    data = load_json(text, "algebra")
     if not isinstance(data, dict) or "dim" not in data:
         raise ParseError("algebra JSON needs an object with a 'dim' field")
     d = data["dim"]

@@ -60,10 +60,6 @@ def lmat_kron(a, b) -> tuple:
     return tuple(out)
 
 
-def lmat_scale(m, c: LaurentPoly) -> tuple:
-    return tuple(tuple(c * v for v in row) for row in m)
-
-
 @dataclass(frozen=True)
 class RibbonRep:
     n: int                 # carrier dimension

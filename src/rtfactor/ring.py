@@ -392,10 +392,6 @@ def series_inverse(s: HSeries) -> HSeries:
     return HSeries(s.order, tuple(out))
 
 
-def series_div(a: HSeries, b: HSeries) -> HSeries:
-    return a * series_inverse(b.truncate(min(a.order, b.order)))
-
-
 def _power_sums(p: LaurentPoly, order: int) -> list[Fraction]:
     """sum c * e^m / (N^m m!) over the terms c*u^e of p, for m = 0..order.
     The sums run over ints: the coefficients' denominators are cleared once."""
@@ -466,13 +462,15 @@ _TERM_RE = re.compile(
 
 
 def _parse_rational(text: str) -> int | Fraction:
-    """A matched '3', '-3' or '3/4'; a zero denominator is a ParseError."""
+    """A matched '3', '-3' or '3/4'; a zero denominator, or a number past
+    the int/str digit limit, is a ParseError."""
     num, _, den = text.partition("/")
-    if not den:
-        return int(num)
-    if not int(den):
-        raise ParseError(f"zero denominator in {text!r}")
-    return Fraction(int(num), int(den))
+    try:
+        return Fraction(int(num), int(den)) if den else int(num)
+    except ValueError as exc:
+        raise ParseError(f"bad number: {exc}") from None
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}") from None
 
 
 def _parse_terms(text: str, var: str) -> list[tuple]:
@@ -525,7 +523,7 @@ def parse_hseries(text: str, var: str = "h") -> HSeries:
         raise ParseError("series text must end with '+ O(h^k)'")
     if m.group(1) != var:
         raise ParseError(f"unexpected variable {m.group(1)!r}, wanted {var!r}")
-    order = int(m.group(2)) - 1
+    order = _parse_rational(m.group(2)) - 1
     if order < 0:
         raise ParseError("O-term exponent must be >= 1")
     coeffs = list(HSeries.zero(order).coeffs)

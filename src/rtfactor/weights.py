@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
+from math import ceil, lcm, log10, prod
 from operator import itemgetter
 
 from ._linalg import mat_inv, mat_mul, row_mul_add, sparse_rows
@@ -41,6 +41,7 @@ from .errors import (
     ParseError,
     SingularPairing,
     check_size,
+    load_json,
 )
 from .lie import InvariantPairing, LieAlgebra, Representation
 from .ring import HSeries
@@ -48,6 +49,10 @@ from .ring import HSeries
 MAX_WEIGHT_ALGEBRA_DIM = 8
 MAX_WEIGHT_COST = 2 ** 19
 MAX_AUT_VERTICES = 8
+# The weight prints through str(), which refuses ints of more than 4300
+# digits; the fermion-loop factor may take this many, the contraction the
+# rest.
+MAX_LOOP_DIGITS = 1000
 
 _PERMS3 = tuple(permutations(range(3)))
 
@@ -137,14 +142,6 @@ def theta_graph() -> JacobiGraph:
     """
     return make_jacobi_graph(((0, 1, 2), (3, 5, 4)), (),
                              ((0, 3), (1, 4), (2, 5)))
-
-
-def disjoint_union(a: JacobiGraph, b: JacobiGraph) -> JacobiGraph:
-    shift = 1 + max([h for v in a.vertices for h in v] + list(a.legs) + [-1])
-    vertices = a.vertices + tuple(tuple(h + shift for h in v) for v in b.vertices)
-    legs = a.legs + tuple(l + shift for l in b.legs)
-    edges = a.edges + tuple((x + shift, y + shift) for x, y in b.edges)
-    return make_jacobi_graph(vertices, legs, edges)
 
 
 @dataclass(frozen=True)
@@ -372,23 +369,34 @@ def _partners(edges) -> dict:
     return {h: p for e in edges for h, p in (e, e[::-1])}
 
 
-def _plan(graph: JacobiGraph, dim: int):
-    """A closed graph's vertices in contraction order and its matching,
-    after the open-leg, algebra and cost checks."""
+def _plan(graph, dim: int):
+    """A closed graph's contraction nodes in order and its matching, after
+    the open-leg, algebra, fermion-path and cost checks.  The nodes of a
+    plain graph are its vertices; those of a bicolored graph are its gauge
+    vertices and, per fermion cycle, the gauge half-edges along it."""
     if graph.legs:
         raise OpenGraph("weight of a graph with open legs is not a scalar")
     check_size("algebra dimension", dim, MAX_WEIGHT_ALGEBRA_DIM)
-    partner = _partners(graph.edges)
-    order = _order(dim, graph.vertices, partner)
-    return [graph.vertices[i] for i in order], partner
+    if isinstance(graph, JacobiGraph):
+        nodes, edges, cycles = graph.vertices, graph.edges, []
+    else:
+        cycles = [tuple(v[0] for v in cycle) for cycle in _fermion_cycles(graph)]
+        nodes, edges = list(graph.gauge_vertices) + cycles, graph.gauge_edges
+    partner = _partners(edges)
+    order = _order(dim, nodes, partner, sum(dim ** len(c) for c in cycles))
+    return [nodes[i] for i in order], partner
 
 
-def _weight(vertices, partner, setup):
+def _weight(nodes, partner, setup, cycles=None):
     """The integer contraction of a _plan with a _setup, divided once by
-    Dt^V Dp^E (each edge is one pair of partners)."""
+    Dp per edge (each edge is one pair of partners) and the scale of each
+    node's tensor: Dt for a vertex, its own lcm for a fermion cycle.
+    ``cycles`` maps each fermion cycle's node to its (tensor, lcm)."""
     prop, tensor, unit, dp, dt = setup
-    return (_contract([(v, tensor) for v in vertices], partner, prop, unit)
-            * Fraction(1, dt ** len(vertices) * dp ** (len(partner) // 2)))
+    tensors = [(cycles or {}).get(node, (tensor, dt)) for node in nodes]
+    scale = dp ** (len(partner) // 2) * prod(s for _, s in tensors)
+    return (_contract([(node, t) for node, (t, _) in zip(nodes, tensors)],
+                      partner, prop, unit) * Fraction(1, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +422,15 @@ def _fermion_cycles(graph: BicoloredGraph):
     if len(succ) != len(graph.coupling_vertices):
         raise OpenFermionPath(
             "fermion lines must close into cycles for a scalar weight")
-    cycles = []
-    seen = set()
+    cycles, seen = [], set()
     for v in graph.coupling_vertices:
-        if v in seen:
-            continue
-        cycle = [v]
-        seen.add(v)
-        cur = succ[v[1]]
-        while cur != v:
-            cycle.append(cur)
-            seen.add(cur)
-            cur = succ[cur[1]]
-        cycles.append(cycle)
+        cycle = []
+        while v not in seen:  # succ is a bijection: the walk comes back
+            seen.add(v)
+            cycle.append(v)
+            v = succ[v[1]]
+        if cycle:
+            cycles.append(cycle)
     return cycles
 
 
@@ -440,26 +444,20 @@ def coupled_weight(graph: BicoloredGraph, g: LieAlgebra, rho: Representation,
     one node of the contraction order; each vertex-free fermion loop
     contributes a bare factor of -dim(rho).
     """
-    if graph.legs:
-        raise OpenGraph("weight of a graph with open legs is not a scalar")
-    check_size("algebra dimension", g.dim, MAX_WEIGHT_ALGEBRA_DIM)
-    cycles = _fermion_cycles(graph)
-    nodes = list(graph.gauge_vertices) + [tuple(v[0] for v in cycle)
-                                          for cycle in cycles]
-    partner = _partners(graph.gauge_edges)
-    order = _order(g.dim, nodes, partner,
-                   sum(g.dim ** len(cycle) for cycle in cycles))
-    prop, tensor, unit, dp, dt = _setup(g, pairing, classical_vertex)
-    tensors = [tensor] * len(graph.gauge_vertices)
-    scale = dt ** len(graph.gauge_vertices) * dp ** len(graph.gauge_edges)
-    for cycle in cycles:
-        [cycle_tensor], dc = _integral([_cycle_traces(rho, len(cycle))],
-                                       len(pairing.orders))
-        tensors.append(cycle_tensor)
-        scale *= dc
-    scalar = _contract([(nodes[i], tensors[i]) for i in order], partner,
-                       prop, unit)
-    return scalar * Fraction((-rho.dim) ** graph.fermion_loops, scale)
+    nodes, partner = _plan(graph, g.dim)
+    loops = graph.fermion_loops
+    # the factor has loops * log10(dim rho) digits; the Fraction keeps the
+    # product exact for loop counts past the float range
+    check_size(f"fermion loop factor (-{rho.dim})^{loops}, digits",
+               ceil(loops * Fraction(log10(rho.dim))), MAX_LOOP_DIGITS)
+    setup = _setup(g, pairing, classical_vertex)
+    gauge, cycles = set(graph.gauge_vertices), {}
+    for node in nodes:
+        if node not in gauge:
+            [tensor], dc = _integral([_cycle_traces(rho, len(node))],
+                                     len(pairing.orders))
+            cycles[node] = tensor, dc
+    return _weight(nodes, partner, setup, cycles) * (-rho.dim) ** loops
 
 
 def _cycle_traces(rho: Representation, k: int) -> dict:
@@ -645,10 +643,7 @@ def _count_maps(source, target, partner, legs) -> int:
 def graph_from_json(text: str):
     """Parse a graph file; plain when it has "vertices", bicolored when
     it has coupling data."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad graph JSON: {exc}") from exc
+    data = load_json(text, "graph")
     if not isinstance(data, dict):
         raise ParseError("graph file must be a JSON object")
     try:

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from rtfactor import rt
 from rtfactor.cli import main
 from rtfactor.clifford import MAX_CHARACTER_COST
-from rtfactor.confint import MAX_SEGMENT_PAIRS
+from rtfactor.confint import MAX_SEGMENT_PAIRS, hopf_pair
 from rtfactor.diagram import CATALOG, LINK_ALIASES, resolve_link
 from rtfactor.lie import algebra_to_json, builtin
 from rtfactor.ring import MAX_SERIES_ORDER
@@ -39,8 +39,10 @@ from rtfactor.weights import (fermion_wheel, generate_trivalent_family,
 FUZZ = settings(derandomize=True, database=None, deadline=None,
                 max_examples=100, suppress_health_check=list(HealthCheck))
 
+# past Python's int/str conversion limit of 4300 digits
+_LONG = "9" * 5000
 _GARBAGE = st.sampled_from(["", " ", "{", "[]", "null", "x", "-1", "1/0",
-                            "nan", "B", "{\"a\": 1}", "éé"])
+                            "nan", "B", "{\"a\": 1}", "éé", _LONG])
 
 
 def _mostly(valid, invalid):
@@ -291,7 +293,13 @@ def _run(argv) -> int:
         raise AssertionError(
             f"rtfactor {shlex.join(argv)} raised {exc!r}") from exc
     assert code in (0, 1), f"rtfactor {shlex.join(argv)} returned {code}"
+    if code == 0 and dict(zip(argv, argv[1:])).get("--format") == "json":
+        json.loads(sink.getvalue(), parse_constant=_not_json)
     return code
+
+
+def _not_json(constant):
+    raise AssertionError(f"JSON output holds {constant}, which is not JSON")
 
 
 def _huge_kinks(link) -> bool:
@@ -336,3 +344,38 @@ def test_cli_exits_0_1_or_2(subcommand, data):
     code = _run(argv)
     assert code != 0 or not _must_refuse(argv), (
         f"rtfactor {shlex.join(argv)} accepted an input it must refuse")
+
+
+# Inputs that once ended in a traceback or printed nan: numbers past the
+# int/str digit limit in each reader, and curve integrals that overflow or
+# whose segment midpoints coincide (two diagonals of a cube face).
+_CUBE = ('{"points": [[0,0,0],[1,0,0],[1,1,0],[0,1,0],'
+         '[0,0,1],[1,0,1],[1,1,1],[0,1,1]]}')
+_FAR_HOPF = json.dumps([{"points": (c.points * 1e103).tolist()}
+                        for c in hopf_pair(16)])
+_SL2 = ["--algebra", "sl2"]
+EDGE_CASES = {
+    "braid-strands": ["invariant", "--link", f"B{_LONG}:", *_SL2, "--framed"],
+    "braid-letter": ["invariant", "--link", f"B2:1,{_LONG}", *_SL2,
+                     "--framed"],
+    "link-json": ["jones", "--link",
+                  '{"braid": {"strands": %s, "word": []}}' % _LONG],
+    "algebra-json": ["cohomology", "--algebra", '{"dim": %s}' % _LONG],
+    "graph-json": ["weights", "--graph", '{"vertices": [], "legs": [%s]}'
+                   % _LONG, *_SL2],
+    "curve-json": ["linking", "--curves", '{"points": [[%s, 0, 0]]}' % _LONG],
+    "poly-coefficient": ["expand", "--poly", f"{_LONG}*q", "--order", "2"],
+    "poly-exponent": ["expand", "--poly", f"q^{{{_LONG}}}", "--order", "2"],
+    "coincident-midpoints": ["linking", "--curves", _CUBE],
+    "overflowing-curves": ["linking", "--curves", _FAR_HOPF],
+    "overflowing-push-off": ["linking", "--curves", "twisted:2",
+                             "--epsilon", "1e300"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_edge_case_exits_1_with_an_error_line(capsys, name, form):
+    assert main(EDGE_CASES[name] + ["--format", form]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")

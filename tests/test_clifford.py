@@ -10,7 +10,6 @@ from rtfactor.clifford import (
     berezin_determinant,
     charged_character,
     cl_element,
-    cl_one,
     clifford_multiply,
     hh0_dimension,
     partition_function_identity,
@@ -18,8 +17,6 @@ from rtfactor.clifford import (
     supertrace_via_top,
     todd_series,
     wheel_term,
-    x_gen,
-    xbar_gen,
 )
 from rtfactor.errors import DimensionMismatch, DimensionTooLarge, TraceNotZero
 from rtfactor.lie import Representation, builtin
@@ -40,6 +37,18 @@ def leibniz_det(m):
             prod *= m[i][perm[i]]
         acc += prod
     return acc
+
+
+def cl_one(d):
+    return cl_element(d, {(0, 0): 1})
+
+
+def x_gen(d, i):
+    return cl_element(d, {(0, 1 << i): 1})
+
+
+def xbar_gen(d, i):
+    return cl_element(d, {(1 << i, 0): 1})
 
 
 def rand_element(rng, d):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from rtfactor.confint import (
+    COORDINATE_LIMIT,
     ParamCurve,
     blackboard_framing,
-    curve_from_json,
     curve_to_json,
     curves_from_json,
     framed_self_linking,
@@ -72,6 +72,17 @@ def test_intersecting_curves_rejected():
     circle = unit_circle(128)
     with pytest.raises(CurvesIntersect):
         gauss_linking(circle, circle)
+
+
+def test_coordinates_past_the_limit_rejected():
+    circle, other = hopf_pair(64)
+    # a power of two below the limit scales every operation exactly
+    far = [make_param_curve(c.points * 2.0 ** 330) for c in (circle, other)]
+    assert gauss_linking(*far) == gauss_linking(circle, other)
+    with pytest.raises(ParseError, match="at most 1e"):
+        make_param_curve(circle.points * COORDINATE_LIMIT * 1.5)
+    with pytest.raises(ParseError, match="at most 1e"):
+        framed_self_linking(twisted_circle(64, 1), COORDINATE_LIMIT * 2)
 
 
 def test_vertical_framing_gives_zero_self_linking():
@@ -203,11 +214,11 @@ def test_torus_knot_rejects_common_factors():
 
 def test_curve_json_round_trip():
     framed = twisted_circle(64, 1)
-    again = curve_from_json(curve_to_json(framed))
+    [again] = curves_from_json(curve_to_json(framed))
     assert np.allclose(again.points, framed.points)
     assert np.allclose(again.framing, framed.framing)
     bare = unit_circle(64)
-    back = curve_from_json(curve_to_json(bare))
+    [back] = curves_from_json(curve_to_json(bare))
     assert back.framing is None
     assert np.allclose(back.points, bare.points)
 
@@ -224,4 +235,4 @@ def test_curve_list_parsing():
     with pytest.raises(ParseError):
         curves_from_json("{\"nope\": 1}")
     with pytest.raises(ParseError):
-        curve_from_json("not json")
+        curves_from_json("not json")

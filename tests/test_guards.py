@@ -12,7 +12,7 @@ import importlib
 import re
 from fractions import Fraction
 from itertools import count
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, log10
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,8 @@ from rtfactor.errors import DimensionTooLarge
 from rtfactor.lie import InvariantPairing, builtin
 from rtfactor.quantum_group import (quantum_dimension, ribbon_twist,
                                     sln_fundamental_ribbon)
+
+from test_weights import disjoint_union
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rtfactor"
 README = SRC.parents[1] / "README.md"
@@ -48,7 +50,7 @@ def _identity_pairing(dim):
 def _thetas(count):
     graph = weights.theta_graph()
     for _ in range(count - 1):
-        graph = weights.disjoint_union(graph, weights.theta_graph())
+        graph = disjoint_union(graph, weights.theta_graph())
     return graph
 
 
@@ -65,6 +67,17 @@ def _prism(sides):
 def _sl3_killing():
     g, _ = builtin("sl3")
     return g, InvariantPairing((tuple(map(tuple, lie.killing_form(g))),))
+
+
+def _loop_weight(loops):
+    """The weight of ``loops`` bare fermion loops: (-2)^loops at sl2."""
+    g, rho = builtin("sl2")
+    return weights.coupled_weight(weights.make_bicolored_graph(
+        fermion_loops=loops), g, rho, _identity_pairing(3))
+
+
+# the most loops whose factor (-2)^k has at most MAX_LOOP_DIGITS digits
+_LOOPS = int(weights.MAX_LOOP_DIGITS / log10(2))
 
 
 # one vertex with a loop and a leg
@@ -203,9 +216,14 @@ GUARDS = {
         ("weight contraction of 1 nodes, peak frontier 0, estimate",
          1 + 8 ** 8, weights.MAX_WEIGHT_COST),
         (weights, "_edge_scalars")),
+    "weights-fermion-loops": (
+        lambda: _loop_weight(_LOOPS + 1),
+        (f"fermion loop factor (-2)^{_LOOPS + 1}, digits",
+         weights.MAX_LOOP_DIGITS + 1, weights.MAX_LOOP_DIGITS),
+        (weights, "_edge_scalars")),
     "weights-symmetry": (
         lambda: weights.symmetry_factor(
-            weights.disjoint_union(_prism(4), _LOOP_AND_LEG)),
+            disjoint_union(_prism(4), _LOOP_AND_LEG)),
         ("vertex count", 9, weights.MAX_AUT_VERTICES),
         (weights, "_partners")),
     "confint-linking": (
@@ -268,6 +286,8 @@ ADMITTED = {
     "weights-algebra-and-cost": (
         lambda: weights.lie_weight(_prism(8), *_sl3_killing()),
         Fraction(4147, 3888)),
+    "weights-fermion-loops": (  # a 1000-digit factor, printed
+        lambda: len(str(_loop_weight(_LOOPS))), 1 + weights.MAX_LOOP_DIGITS),
     "weights-symmetry": (  # the cube graph
         lambda: weights.symmetry_factor(_prism(weights.MAX_AUT_VERTICES // 2)),
         48),
@@ -311,6 +331,9 @@ CLI_REFUSALS = [
     (["weights", "--algebra", "sl3", "--graph", _PRISM_9],
      _message("weight contraction of 18 nodes, peak frontier 5, estimate",
               18 * 8 ** 5, 2 ** 19)),
+    (["weights", "--algebra", "sl2", "--graph",
+      '{"coupling_vertices": [], "fermion_loops": 20000}'],
+     _message("fermion loop factor (-2)^20000, digits", 6021, 1000)),
     (["bracket", "--link", "B2:" + ",".join(["1"] * 1415)],
      _message("bracket sweep of 1415 crossings, peak 4 open ends, estimate",
               1415 ** 2, 2_000_000)),

@@ -2,7 +2,8 @@
 
 numpy is imported by ``rtfactor.confint`` only, and the acceptance suite by
 ``verify`` only, so the exact-arithmetic commands start without either; the
-RT move tables are built on the first sweep, not at import.
+RT move tables are built on the first sweep, not at import; and a builtin
+representation stores its sparse rows only.
 Each check runs in a fresh interpreter: this test session has long since
 imported both.
 """
@@ -70,3 +71,10 @@ def test_package_import_builds_no_move_table():
     assert fresh("from rtfactor import cli\n"
                  "assert cli.main(['invariant', '--link', 'trefoil', "
                  "'--algebra', 'sl2', '--framed']) == 0", tables) == 1
+
+
+def test_builtin_representation_builds_no_dense_matrix():
+    # The dense view would hold 3 * 1024^2 Fractions, the rows 3 * 1024 dicts.
+    assert fresh("from rtfactor.lie import builtin\n"
+                 "_, rep = builtin('sl2_irrep(1023)')",
+                 "'matrices' in rep.__dict__") is False

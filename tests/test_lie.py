@@ -24,19 +24,15 @@ from rtfactor.errors import (
 from rtfactor.lie import (
     MAX_IRREP_DIM,
     MAX_PARSED_ALGEBRA_DIM,
-    InvariantPairing,
     Representation,
     algebra_from_json,
     algebra_to_json,
     builtin,
-    check_invariant_pairing,
     check_representation,
-    is_semisimple,
     killing_form,
-    make_lie_algebra,
 )
 
-from test_linalg import _rebased
+from test_linalg import _dense_algebra, _rebased
 
 ALL_BUILTINS = ["sl2", "sl3", "so3", "sl2_irrep(3)", "sln_fundamental(4)", "abelian(3)"]
 
@@ -57,7 +53,7 @@ def test_antisymmetry_rejected():
     f[1][2][0] = 1
     f[2][1][0] = 1
     with pytest.raises(AntisymmetryViolation) as exc:
-        make_lie_algebra(f)
+        _dense_algebra(f)
     assert exc.value.indices == (1, 2, 0)
     assert str(exc.value).count("not antisymmetric") == 1
 
@@ -70,7 +66,7 @@ def test_jacobi_rejected():
         f[a][b][c] = Fraction(1)
         f[b][a][c] = Fraction(-1)
     with pytest.raises(JacobiViolation) as exc:
-        make_lie_algebra(f)
+        _dense_algebra(f)
     assert exc.value.indices == (0, 1, 2, 2)
     assert str(exc.value).count("Jacobi identity fails") == 1
 
@@ -105,13 +101,8 @@ def test_jacobi_violation_indices_match_dense_oracle(seed):
     expected = _first_jacobi_failure(f)
     assert expected is not None
     with pytest.raises(JacobiViolation) as exc:
-        make_lie_algebra(f)
+        _dense_algebra(f)
     assert exc.value.indices == expected
-
-
-def test_non_cubic_rejected():
-    with pytest.raises(DimensionMismatch):
-        make_lie_algebra([[[0, 0]]])
 
 
 def test_abelian_accepted():
@@ -126,14 +117,13 @@ def test_killing_form_sl2():
     assert k[0][0] == 8
     assert k[1][2] == k[2][1] == 4
     assert k[0][1] == k[0][2] == k[1][1] == k[2][2] == 0
-    assert is_semisimple(g)
+    assert exact_rank(k) == 3  # nondegenerate: sl2 is semisimple
 
 
 def test_killing_form_so3():
     g, _ = builtin("so3")
     k = killing_form(g)
     assert k == [[-2 if i == j else 0 for j in range(3)] for i in range(3)]
-    assert is_semisimple(g)
 
 
 def _dense_killing_form(g):
@@ -160,48 +150,22 @@ def test_killing_form_abelian_zero():
     k = killing_form(g)
     assert all(v == 0 for row in k for v in row)
     assert exact_rank(k) == 0
-    assert not is_semisimple(g)
 
 
 def test_killing_pairing_invariant_for_semisimple():
-    for name in ["sl2", "sl3", "so3"]:
+    # ad-invariance: K([e_a, e_b], e_c) + K(e_b, [e_a, e_c]) = 0
+    for name in ALL_BUILTINS:
         g, _ = builtin(name)
-        report = check_invariant_pairing(g, InvariantPairing((killing_form(g),)))
-        assert report.ok, (name, report.violations)
-
-
-def test_identity_pairing_not_invariant_on_sl2():
-    g, _ = builtin("sl2")
-    eye = [[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)]
-    report = check_invariant_pairing(g, InvariantPairing((eye,)))
-    assert not report.ok
-    assert any(v.kind == "invariance" for v in report.violations)
-
-
-def test_degenerate_order0_reported():
-    g, _ = builtin("abelian(2)")
-    zero = [[Fraction(0)] * 2 for _ in range(2)]
-    report = check_invariant_pairing(g, InvariantPairing((zero,)))
-    assert not report.ok
-    assert any(v.kind == "degenerate" and v.order == 0 for v in report.violations)
-
-
-def test_graded_pairing_checked_per_order():
-    g, _ = builtin("sl2")
-    kappa = killing_form(g)
-    eye = [[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)]
-    report = check_invariant_pairing(g, InvariantPairing((kappa, eye)))
-    assert not report.ok
-    assert all(v.order == 1 for v in report.violations)
-    # a Killing multiple at order 1 is fine
-    half = [[v / 2 for v in row] for row in kappa]
-    assert check_invariant_pairing(g, InvariantPairing((kappa, half))).ok
+        k, f, d = killing_form(g), g.structure_constants, g.dim
+        assert not any(sum(f[a][b][m] * k[m][c] + f[a][c][m] * k[b][m]
+                           for m in range(d))
+                       for a in range(d) for b in range(d) for c in range(d)), name
 
 
 def test_all_builtins_validate():
     for name in ALL_BUILTINS:
         g, rep = builtin(name)
-        make_lie_algebra([[list(g.structure_constants[a][b]) for b in range(g.dim)]
+        _dense_algebra([[list(g.structure_constants[a][b]) for b in range(g.dim)]
                           for a in range(g.dim)])
         if rep is not None:
             check_representation(g, rep)
@@ -300,10 +264,12 @@ def test_builtin_matches_dense_construction(name):
     f, mats = _DENSE_BUILTINS[name]()
     g, rep = builtin(name)
     assert g.structure_constants == tuple(tuple(map(tuple, plane)) for plane in f)
-    assert g == make_lie_algebra(f)
+    assert g == _dense_algebra(f)
     assert rep.matrices == tuple(tuple(map(tuple, m)) for m in mats)
     assert all(type(v) is Fraction for m in rep.matrices for row in m for v in row)
-    assert rep.rows == Representation(rep.dim, rep.matrices).rows
+    dense = Representation(rep.dim, mats)
+    assert dense.rows == rep.rows
+    assert dense.matrices == tuple(tuple(map(tuple, m)) for m in mats)
     assert all(v and type(v) is int for m in rep.rows for row in m
                for v in row.values())
 
@@ -325,6 +291,9 @@ def test_bad_representation_rejected():
         check_representation(g, bad)
     with pytest.raises(DimensionMismatch):
         check_representation(g, Representation(2, (((1, 0), (0, -1)),)))
+    for dim, short in [(2, ((1, 0),)), (3, ((1, 0), (0, -1), (0, 0)))]:
+        with pytest.raises(DimensionMismatch, match="wrong shape"):
+            Representation(dim, (((1, 0), (0, -1)), short))
 
 
 @pytest.mark.parametrize("name, a, entry, delta, pair", [

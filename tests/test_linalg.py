@@ -2,6 +2,7 @@
 its product with the matrix."""
 
 import copy
+import json
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 from rtfactor._linalg import exact_rank, mat_inv
 from rtfactor.ce import ce_complex, defect_module, trivial_module
-from rtfactor.lie import Representation, builtin, make_lie_algebra
+from rtfactor.lie import Representation, algebra_from_json, builtin
 
 
 def _dense_rank(rows):
@@ -146,6 +147,13 @@ def _unimodular(rng, d):
     return p, p_inv
 
 
+def _dense_algebra(f):
+    """The algebra of dense constants f[a][b][c], validated by its reader."""
+    brackets = [[a, b, c, str(v)] for a, plane in enumerate(f)
+                for b, row in enumerate(plane) for c, v in enumerate(row) if v]
+    return algebra_from_json(json.dumps({"dim": len(f), "brackets": brackets}))
+
+
 def _rebased(g, rep, rng):
     """g and rep in a seeded random unimodular integer basis."""
     return _change_basis(g, rep, *_unimodular(rng, g.dim))
@@ -162,7 +170,7 @@ def _change_basis(g, rep, p, p_inv):
     mats = tuple(tuple(tuple(sum(p[i][a] * rep.matrices[a][r][s] for a in range(d))
                              for s in range(rep.dim)) for r in range(rep.dim))
                  for i in range(d))
-    return make_lie_algebra(consts), Representation(rep.dim, mats)
+    return _dense_algebra(consts), Representation(rep.dim, mats)
 
 
 def _trivial(name):

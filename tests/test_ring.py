@@ -16,7 +16,6 @@ from rtfactor.ring import (
     laurent_to_hseries,
     parse_hseries,
     parse_laurent,
-    series_div,
     series_exp,
     series_inverse,
     series_log,
@@ -289,7 +288,6 @@ def test_series_inverse():
     inv = series_inverse(s)
     assert inv.coeffs == (Fraction(1), Fraction(-1), Fraction(1), Fraction(-1), Fraction(1))
     assert (s * inv) == HSeries.const(1, 4)
-    assert series_div(HSeries.const(1, 4), s) == inv
     with pytest.raises(ValueError):
         series_inverse(HSeries.zero(3))
 

@@ -22,7 +22,6 @@ from rtfactor.lie import (
     Representation,
     builtin,
     killing_form,
-    make_lie_algebra,
 )
 from rtfactor import weights
 from rtfactor.ring import HSeries, series_exp, series_log, series_inverse
@@ -31,7 +30,6 @@ from rtfactor.weights import (
     JacobiGraph,
     check_AS_IHX,
     coupled_weight,
-    disjoint_union,
     fermion_wheel,
     generate_trivalent_family,
     graph_from_json,
@@ -42,6 +40,17 @@ from rtfactor.weights import (
     symmetry_factor,
     theta_graph,
 )
+
+from test_linalg import _dense_algebra
+
+
+def disjoint_union(a: JacobiGraph, b: JacobiGraph) -> JacobiGraph:
+    """a beside b, b's half-edge labels shifted past a's."""
+    shift = 1 + max([h for v in a.vertices for h in v] + list(a.legs) + [-1])
+    vertices = a.vertices + tuple(tuple(h + shift for h in v) for v in b.vertices)
+    legs = a.legs + tuple(l + shift for l in b.legs)
+    edges = a.edges + tuple((x + shift, y + shift) for x, y in b.edges)
+    return make_jacobi_graph(vertices, legs, edges)
 
 
 def _killing_pairing(g, scale=1):
@@ -170,7 +179,7 @@ def test_weight_is_basis_independent():
                        for r in range(dim))
                    for c in range(dim)] for b in range(dim)]
                  for a in range(dim)]
-        new_g = make_lie_algebra(new_f)
+        new_g = _dense_algebra(new_f)
         new_kill = [[sum(basis[a][p] * basis[b][q] * kill[p][q]
                          for p in range(dim) for q in range(dim))
                      for b in range(dim)] for a in range(dim)]
@@ -540,9 +549,9 @@ def _rescaled(g, rho):
     tensor has its own scale."""
     c = [Fraction(1, a + 2) for a in range(g.dim)]
     f = g.structure_constants
-    return (make_lie_algebra([[[c[a] * c[b] / c[k] * f[a][b][k]
-                                for k in range(g.dim)] for b in range(g.dim)]
-                              for a in range(g.dim)]),
+    return (_dense_algebra([[[c[a] * c[b] / c[k] * f[a][b][k]
+                              for k in range(g.dim)] for b in range(g.dim)]
+                            for a in range(g.dim)]),
             Representation(rho.dim, tuple(
                 tuple(tuple(c[a] * x for x in row) for row in m)
                 for a, m in enumerate(rho.matrices))))
