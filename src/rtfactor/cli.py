@@ -29,8 +29,8 @@ from .kauffman import jones_polynomial, kauffman_bracket
 from .lie import (InvariantPairing, LieAlgebra, Representation,
                   algebra_from_json, builtin, killing_form)
 from .quantum_group import quantum_dimension, sln_fundamental_ribbon
-from .ring import (MAX_SERIES_ORDER, format_hseries, format_laurent,
-                   parse_laurent)
+from .ring import (MAX_SERIES_ORDER, coefficient_text, format_hseries,
+                   format_laurent, parse_laurent)
 from .rt import (framed_invariant, hbar_expand_invariant, jones_from_quantum,
                  writhe_corrected_invariant)
 from .weights import (BicoloredGraph, _plan, coupled_weight, graph_from_json,
@@ -288,15 +288,15 @@ def _cmd_weights(args) -> int:
         if rep is None:
             raise UnknownName("a bicolored graph needs a representation; "
                               "pass --rep <name>")
-        weight = coupled_weight(graph, g, rep, pairing)
-        _emit(args, [f"weight = {weight}"], {"weight": str(weight)})
+        weight = coefficient_text(coupled_weight(graph, g, rep, pairing))
+        _emit(args, [f"weight = {weight}"], {"weight": weight})
         return 0
     # The contraction's guards, then the symmetry factor's, refuse first.
     _plan(graph, g.dim)
     sym = symmetry_factor(graph)
-    weight = lie_weight(graph, g, pairing)
+    weight = coefficient_text(lie_weight(graph, g, pairing))
     _emit(args, [f"weight = {weight}", f"symmetry_factor = {sym}"],
-          {"weight": str(weight), "symmetry_factor": sym})
+          {"weight": weight, "symmetry_factor": sym})
     return 0
 
 

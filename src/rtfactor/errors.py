@@ -68,10 +68,6 @@ class TraceNotZero(RTFactorError):
     """Character formulas require a trace-free matrix ρ(X)."""
 
 
-class NotASquareOfSquare(RTFactorError):
-    """Yang-Baxter check needs an n²×n² matrix."""
-
-
 class KinkNotScalar(RTFactorError):
     """Kink evaluation did not return a scalar multiple of the identity."""
 

@@ -1,63 +1,63 @@
 """Ribbon representation data for the fundamental representations of
-quantum sl_n, with axiom checkers.
+quantum sl_n, the sweep that composes it, and the axiom checks.
 
 Conventions (fixed here, validated by the invariants, and relied on by the
 tangle evaluator):
 
 * root order N = 2n, u = q^(1/2n), s = q^(1/2) = u^n;
 * the R field stores the BRAIDING (flip composed with the R-matrix), so it
-  satisfies the braid form of the Yang-Baxter equation used below;
+  satisfies the braid form of the Yang-Baxter equation checked below;
 * braiding eigenvalue on e_i (x) e_i is u^(n-1); crossing resolution
   R - R_inv = (u^n - u^(-n)) * u^(-1) * permutation-free part is not stored,
   it follows from the entries;
-* cups are antidiagonal with alternating signs, caps are the inverse matrix,
-  and the pivot is cup . cap^T (diagonal with entries of the form
-  +-q^(half-integer));
-* the twist is computed by evaluating an actual Reidemeister-I kink, never
-  just read off a formula.
+* cups are antidiagonal with alternating signs, caps are the inverse matrix;
+* the twist and the loop value are computed by sweeping an actual kink and
+  an actual closed loop, never just read off a formula.
 
-All matrices are tuples of tuples of LaurentPoly over a shared root order.
+A RibbonRep holds two forms of the same data.  The dense presentation R,
+R_inv, cup and cap (tuples of tuples of LaurentPoly) is what a caller
+supplies and what the tests' oracles multiply.  The move tables ``moves``
+are the sparse form ``sweep`` reads, built on first use and kept on the
+rep, so a sweep finds them without hashing the rep.  ``make_ribbon_rep``
+checks every axiom by sweeping a tiny tangle through those tables.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import isqrt
+from functools import cached_property, lru_cache
+from itertools import product
+from math import lcm
 
-from ._linalg import mat_mul
-from .errors import DimensionMismatch, KinkNotScalar, NotASquareOfSquare
-from .ring import LaurentPoly
+from .diagram import CAP, CUP, ID, NEG_CROSS, POS_CROSS
+from .errors import ArityMismatch, DimensionMismatch, KinkNotScalar
+from .ring import LaurentPoly, drop_zeros
 
 ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
+
+# Tiny tangles the checks sweep: (input strands, slices).
+_INVERSE = (2, ((NEG_CROSS, 0), (POS_CROSS, 0)))       # R . R_inv
+_BRAID_LEFT = (3, ((POS_CROSS, 0), (POS_CROSS, 1), (POS_CROSS, 0)))
+_BRAID_RIGHT = (3, ((POS_CROSS, 1), (POS_CROSS, 0), (POS_CROSS, 1)))
+_ZIGZAGS = ((1, ((CUP, 1), (CAP, 0))),                  # cap . cup
+            (1, ((CUP, 0), (CAP, 1))))                  # cup . cap
+_KINK = (1, ((CUP, 1), (POS_CROSS, 0), (CAP, 1)))       # positive right curl
+_LOOP = (0, ((CUP, 0), (CAP, 0)))
 
 
-def lmat(rows) -> tuple:
-    return tuple(tuple(rows[i][j] for j in range(len(rows[i])))
-                 for i in range(len(rows)))
+def _local_moves(matrix, n, arity_in, arity_out, order):
+    """Nonzero entries of a local piece, grouped by input labels.
 
-
-def lmat_identity(n: int) -> tuple:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def lmat_mul(a, b) -> tuple:
-    return lmat(mat_mul(a, b, zero=ZERO))
-
-
-def lmat_kron(a, b) -> tuple:
-    """Kronecker product of two (possibly rectangular) matrices."""
-    out = []
-    for arow in a:
-        for brow in b:
-            row = []
-            for aij in arow:
-                if aij:
-                    row.extend(aij * v for v in brow)
-                else:
-                    row.extend([ZERO] * len(brow))
-            out.append(tuple(row))
-    return tuple(out)
+    ``matrix`` has n^arity_out rows and n^arity_in columns, both indexed
+    with the first strand as the most significant digit.  The result maps
+    input labels to (output labels, [(exponent at order, coefficient)])."""
+    inputs = list(product(range(n), repeat=arity_in))
+    moves = {labels: [] for labels in inputs}
+    for out, row in zip(product(range(n), repeat=arity_out), matrix):
+        for labels, c in zip(inputs, row):
+            if c:
+                terms = [(e * (order // c.root_order), k) for e, k in c.terms]
+                moves[labels].append((out, terms))
+    return moves
 
 
 @dataclass(frozen=True)
@@ -68,93 +68,107 @@ class RibbonRep:
     R_inv: tuple           # its inverse
     cup: tuple             # n x n: image of 1 in V (x) V, as a matrix of coefficients
     cap: tuple             # n x n: pairing V (x) V -> scalars; inverse of cup
-    pivot: tuple           # n x n: cup . cap^T, diagonal for the builtins
     twist: LaurentPoly     # scalar of the positive kink
+
+    @cached_property
+    def moves(self) -> tuple:
+        """Root order of the entries, and piece -> (strands in, strands
+        out, input labels -> [(output labels, [(exponent, coefficient)])])."""
+        n = self.n
+        order = lcm(*(c.root_order for m in (self.R, self.R_inv, self.cup,
+                                             self.cap)
+                      for row in m for c in row if c))
+        return order, {
+            ID: (1, 1, {(a,): [((a,), [(0, 1)])] for a in range(n)}),
+            POS_CROSS: (2, 2, _local_moves(self.R, n, 2, 2, order)),
+            NEG_CROSS: (2, 2, _local_moves(self.R_inv, n, 2, 2, order)),
+            CUP: (0, 2, _local_moves([(c,) for row in self.cup for c in row],
+                                     n, 0, 2, order)),
+            CAP: (2, 0, _local_moves([[c for row in self.cap for c in row]],
+                                     n, 2, 0, order)),
+        }
+
+    @cached_property
+    def loop(self) -> LaurentPoly:
+        """Value of a closed loop."""
+        return LaurentPoly.from_terms(self.moves[0],
+                                      sweep(self, *_LOOP).get(((), 0), {}))
+
+
+def sweep(rep: RibbonRep, width: int, slices) -> dict:
+    """Compose ``slices`` on ``width`` input strands, left to right.
+
+    Returns the sparse matrix: a dict from (output labels, input column)
+    to a plain {exponent: nonzero coefficient} dict at the root order
+    ``rep.moves[0]``, position 0 the most significant digit of both.  Each
+    piece acts through its move table only, and entries that cancel are
+    dropped after every slice, so equal matrices give equal dicts.  Raises
+    ArityMismatch when a piece is unknown or does not fit the width."""
+    n, (_, pieces) = rep.n, rep.moves
+    state = {(labels, col): {0: 1} for col, labels
+             in enumerate(product(range(n), repeat=width))}
+    for piece, pos in slices:
+        if piece not in pieces:
+            raise ArityMismatch(f"unknown piece {piece!r}")
+        span, produced, moves = pieces[piece]
+        if not 0 <= pos <= width - span:
+            raise ArityMismatch(f"{piece} at {pos}, width {width}")
+        new = {}
+        for (labels, col), poly in state.items():
+            head, tail = labels[:pos], labels[pos + span:]
+            for out, terms in moves[labels[pos:pos + span]]:
+                acc = new.setdefault((head + out + tail, col), {})
+                for f, d in terms:
+                    for e, c in poly.items():
+                        acc[e + f] = acc.get(e + f, 0) + c * d
+        state = drop_zeros(new)
+        width += produced - span
+    return state
 
 
 def quantum_dimension(rep: RibbonRep) -> LaurentPoly:
-    """Value of a closed loop: the trace of the pivot."""
-    acc = ZERO
-    for a in range(rep.n):
-        acc = acc + rep.pivot[a][a]
-    return acc
+    """Value of a closed loop, swept once per representation."""
+    return rep.loop
 
 
-def check_yang_baxter(R) -> bool:
+def check_yang_baxter(rep: RibbonRep) -> bool:
     """Exact test of (R x I)(I x R)(R x I) = (I x R)(R x I)(I x R)."""
-    m = len(R)
-    if any(len(row) != m for row in R):
-        raise NotASquareOfSquare("matrix is not square")
-    n = isqrt(m)
-    if n * n != m:
-        raise NotASquareOfSquare(f"matrix size {m} is not a perfect square")
-    eye = lmat_identity(n)
-    a = lmat_kron(R, eye)
-    b = lmat_kron(eye, R)
-    return lmat_mul(lmat_mul(a, b), a) == lmat_mul(lmat_mul(b, a), b)
-
-
-def _kink_matrix(braiding, cup, cap, n: int) -> list:
-    """Evaluate a curl: strand goes up, loops to the right, comes back up.
-
-    As a composite (I x cap)(braiding x I)(I x cup): V -> V.
-    """
-    out = [[ZERO] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                cupbc = cup[b][c]
-                if not cupbc:
-                    continue
-                for x in range(n):
-                    for y in range(n):
-                        r = braiding[x * n + y][a * n + b]
-                        if r:
-                            capyc = cap[y][c]
-                            if capyc:
-                                out[x][a] = out[x][a] + cupbc * r * capyc
-    return out
-
-
-def _scalar_of(matrix, n: int, what: str) -> LaurentPoly:
-    scalar = matrix[0][0]
-    for i in range(n):
-        for j in range(n):
-            want = scalar if i == j else ZERO
-            if matrix[i][j] != want:
-                raise KinkNotScalar(f"{what} evaluation is not a scalar multiple of identity")
-    return scalar
+    return sweep(rep, *_BRAID_LEFT) == sweep(rep, *_BRAID_RIGHT)
 
 
 def ribbon_twist(rep: RibbonRep) -> LaurentPoly:
-    """The scalar of a positive kink, recomputed from the matrices."""
-    kink = _kink_matrix(rep.R, rep.cup, rep.cap, rep.n)
-    return _scalar_of(kink, rep.n, "positive kink")
+    """The scalar of a positive kink, swept through the tables."""
+    kink = sweep(rep, *_KINK)
+    scalar = kink.get(((0,), 0), {})
+    if kink != ({((a,), a): scalar for a in range(rep.n)} if scalar else {}):
+        raise KinkNotScalar(
+            "positive kink evaluation is not a scalar multiple of identity")
+    return LaurentPoly.from_terms(rep.moves[0], scalar)
 
 
 def make_ribbon_rep(n: int, root_order: int, R, R_inv, cup, cap,
                     twist: LaurentPoly) -> RibbonRep:
     """Assemble and validate a ribbon representation.
 
-    Checks: shapes, R.R_inv = identity, Yang-Baxter, cap inverse to cup,
-    positive kink = twist (scalar), quantum dimension nonzero.
+    Checks: shapes, R.R_inv = identity, Yang-Baxter, cap inverse to cup
+    (both zigzags), positive kink = twist (scalar), quantum dimension
+    nonzero; each by sweeping a tiny tangle.
     """
     m = n * n
     for mat, size, name in [(R, m, "R"), (R_inv, m, "R_inv"),
                             (cup, n, "cup"), (cap, n, "cap")]:
         if len(mat) != size or any(len(row) != size for row in mat):
             raise DimensionMismatch(f"{name} has wrong shape")
-    if lmat_mul(R, R_inv) != lmat_identity(m):
+    rep = RibbonRep(n, root_order, *(tuple(map(tuple, mat))
+                                     for mat in (R, R_inv, cup, cap)), twist)
+    # sweeping no slices gives the identity
+    if sweep(rep, *_INVERSE) != sweep(rep, 2, ()):
         raise ValueError("R_inv is not inverse to R")
-    if not check_yang_baxter(R):
+    if not check_yang_baxter(rep):
         raise ValueError("R fails the Yang-Baxter equation")
-    if lmat_mul(cap, cup) != lmat_identity(n) or lmat_mul(cup, cap) != lmat_identity(n):
+    if any(sweep(rep, *zigzag) != sweep(rep, 1, ()) for zigzag in _ZIGZAGS):
         raise ValueError("cap is not inverse to cup")
-    pivot = lmat_mul(cup, tuple(zip(*cap)))
-    rep = RibbonRep(n, root_order, lmat(R), lmat(R_inv), lmat(cup), lmat(cap),
-                    pivot, twist)
-    scalar = ribbon_twist(rep)
-    if scalar != twist:
+    if ribbon_twist(rep) != twist:
         raise ValueError("declared twist does not match the kink evaluation")
     if quantum_dimension(rep).is_zero:
         raise ValueError("quantum dimension vanishes")
@@ -200,4 +214,4 @@ def sln_fundamental_ribbon(n: int) -> RibbonRep:
                               -1 if (n - 1 - a) % 2 else 1)
 
     twist = u(n * n - 1, 1 if n % 2 else -1)
-    return make_ribbon_rep(n, N, lmat(R), lmat(R_inv), lmat(cup), lmat(cap), twist)
+    return make_ribbon_rep(n, N, R, R_inv, cup, cap, twist)

@@ -28,6 +28,8 @@ Rational = Fraction
 
 # Largest HSeries order; at 100 `character` with a 3-dimensional rep takes ~1 s.
 MAX_SERIES_ORDER = 100
+# Python's default int/str limit: a longer numerator or denominator cannot print.
+MAX_PRINTED_DIGITS = 4300
 
 
 def rat(x) -> Fraction:
@@ -418,6 +420,16 @@ def laurent_to_hseries(p: LaurentPoly, order: int) -> HSeries:
 # Canonical text renderings + parsers
 # ---------------------------------------------------------------------------
 
+def coefficient_text(c) -> str:
+    """str(c) of an int or Fraction, after refusing a numerator or
+    denominator of more than MAX_PRINTED_DIGITS digits: the count comes from
+    bit lengths and is never below the true one."""
+    bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+    check_size("coefficient digits", bits * 30103 // 100000 + 1,
+               MAX_PRINTED_DIGITS)
+    return str(c)
+
+
 def _render(terms, var: str, power: str) -> str:
     """'c0 + c1*x - c2*x^2 ...': the (exponent, coefficient) terms in order,
     zero coefficients left out; x^e is var + power.format(e) for e other than
@@ -428,10 +440,10 @@ def _render(terms, var: str, power: str) -> str:
             continue
         a = -c if c < 0 else c
         if e == 0:
-            body = str(a)
+            body = coefficient_text(a)
         else:
             head = var if e == 1 else var + power.format(e)
-            body = head if a == 1 else f"{a}*{head}"
+            body = head if a == 1 else f"{coefficient_text(a)}*{head}"
         if parts:
             parts.append(" - " if c < 0 else " + ")
         elif c < 0:

@@ -7,16 +7,9 @@ cross-check of those invariants against the skein-theoretic oracle and
 the formal expansion around h = 0 whose low-order coefficients are
 finite-type invariants.
 
-The running state is sparse: a dict from (strand labels of the current
-slice, input column) to a plain {exponent: nonzero coefficient} dict at
-one root order.  Each piece acts through the nonzero entries of its local
-matrix only: a crossing sends the labels at its two positions through the
-braiding (or its inverse), a cup inserts each nonzero coevaluation pair
-and a cap contracts its pair against the evaluation; entries that cancel
-are dropped after every slice.  The move tables of a representation are
-built on its first sweep and kept.  LaurentPoly values and the dense matrix
-(rows indexed by output labels, position 0 the most significant digit)
-are built once, at the end.
+The composition itself is ``quantum_group.sweep``, the same routine that
+checks the ribbon axioms of every representation; this module puts the
+size guard in front of it and builds on the matrices it returns.
 """
 
 from __future__ import annotations
@@ -25,12 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, lcm
+from math import comb
 
 from .diagram import (
     CAP,
     CUP,
-    ID,
     NEG_CROSS,
     POS_CROSS,
     SlicedTangle,
@@ -38,15 +30,16 @@ from .diagram import (
     pd_from_sliced,
     writhe,
 )
-from .errors import ArityMismatch, NonInvertibleNormalizer, OpenTangle, check_size
+from .errors import NonInvertibleNormalizer, OpenTangle, check_size
 from .kauffman import kauffman_bracket
 from .quantum_group import (
     RibbonRep,
     quantum_dimension,
     ribbon_twist,  # unused here; perfbench/tracing.py wraps rt.ribbon_twist
     sln_fundamental_ribbon,
+    sweep,
 )
-from .ring import HSeries, LaurentPoly, drop_zeros, laurent_to_hseries, series_inverse
+from .ring import HSeries, LaurentPoly, laurent_to_hseries, series_inverse
 
 # At most about 0.6 microseconds per unit: at the limit a sweep takes 0.5-6 s.
 MAX_SWEEP_COST = 10_000_000
@@ -58,7 +51,6 @@ class TangleValue:
 
     input_arity: int
     output_arity: int
-    carrier_dim: int
     matrix: tuple  # n^output_arity rows, n^input_arity columns
 
 
@@ -85,38 +77,6 @@ def sweep_cost(t: SlicedTangle, n: int) -> tuple[int, int]:
     return cost, peak
 
 
-def _local_moves(matrix, n, arity_in, arity_out, order):
-    """Nonzero entries of a local piece, grouped by input labels.
-
-    ``matrix`` has n^arity_out rows and n^arity_in columns, both indexed
-    with the first strand as the most significant digit.  The result maps
-    input labels to (output labels, [(exponent at order, coefficient)])."""
-    inputs = list(product(range(n), repeat=arity_in))
-    moves = {labels: [] for labels in inputs}
-    for out, row in zip(product(range(n), repeat=arity_out), matrix):
-        for labels, c in zip(inputs, row):
-            if c:
-                terms = [(e * (order // c.root_order), k) for e, k in c.terms]
-                moves[labels].append((out, terms))
-    return moves
-
-
-@lru_cache(maxsize=16)
-def _pieces(rep: RibbonRep):
-    """Root order of rep's entries, and piece -> (strands in, out, moves)."""
-    order = lcm(*(c.root_order for m in (rep.R, rep.R_inv, rep.cup, rep.cap)
-                  for row in m for c in row if c))
-    return order, {
-        ID: (1, 1, {(a,): [((a,), [(0, 1)])] for a in range(rep.n)}),
-        POS_CROSS: (2, 2, _local_moves(rep.R, rep.n, 2, 2, order)),
-        NEG_CROSS: (2, 2, _local_moves(rep.R_inv, rep.n, 2, 2, order)),
-        CUP: (0, 2, _local_moves([(c,) for row in rep.cup for c in row],
-                                 rep.n, 0, 2, order)),
-        CAP: (2, 0, _local_moves([[c for row in rep.cap for c in row]],
-                                 rep.n, 2, 0, order)),
-    }
-
-
 def evaluate_sliced_tangle(t: SlicedTangle, rep: RibbonRep) -> TangleValue:
     """Compose the slice operators left to right and return the matrix.
 
@@ -126,34 +86,15 @@ def evaluate_sliced_tangle(t: SlicedTangle, rep: RibbonRep) -> TangleValue:
     (see ``sweep_cost``) and ArityMismatch when a slice position does not
     fit the running width.
     """
-    n = rep.n
-    cost, peak = sweep_cost(t, n)
+    cost, peak = sweep_cost(t, rep.n)
     check_size(f"RT sweep of {len(t.slices)} slices, peak width {peak}, "
                "estimate", cost, MAX_SWEEP_COST)
-    order, pieces = _pieces(rep)
-    width = t.input_arity
-    state = {(labels, col): {0: 1} for col, labels
-             in enumerate(product(range(n), repeat=width))}
-    for piece, pos in t.slices:
-        if piece not in pieces:
-            raise ArityMismatch(f"unknown piece {piece!r}")
-        span, produced, moves = pieces[piece]
-        if not 0 <= pos <= width - span:
-            raise ArityMismatch(f"{piece} at {pos}, width {width}")
-        new = {}
-        for (labels, col), poly in state.items():
-            head, tail = labels[:pos], labels[pos + span:]
-            for out, terms in moves[labels[pos:pos + span]]:
-                acc = new.setdefault((head + out + tail, col), {})
-                for f, d in terms:
-                    for e, c in poly.items():
-                        acc[e + f] = acc.get(e + f, 0) + c * d
-        state = drop_zeros(new)
-        width += produced - span
-    return TangleValue(t.input_arity, width, n, tuple(
+    state = sweep(rep, t.input_arity, t.slices)
+    order = rep.moves[0]
+    return TangleValue(t.input_arity, t.output_arity, tuple(
         tuple(LaurentPoly.from_terms(order, state.get((out, col), {}))
-              for col in range(n ** t.input_arity))
-        for out in product(range(n), repeat=width)))
+              for col in range(rep.n ** t.input_arity))
+        for out in product(range(rep.n), repeat=t.output_arity)))
 
 
 def framed_invariant(link: SlicedTangle, rep: RibbonRep) -> LaurentPoly:

@@ -347,13 +347,16 @@ def test_cli_exits_0_1_or_2(subcommand, data):
 
 
 # Inputs that once ended in a traceback or printed nan: numbers past the
-# int/str digit limit in each reader, and curve integrals that overflow or
-# whose segment midpoints coincide (two diagonals of a cube face).
+# int/str digit limit in each reader and in printed answers, and curve
+# integrals that overflow or whose segment midpoints coincide (two
+# diagonals of a cube face).
 _CUBE = ('{"points": [[0,0,0],[1,0,0],[1,1,0],[0,1,0],'
          '[0,0,1],[1,0,1],[1,1,1],[0,1,1]]}')
 _FAR_HOPF = json.dumps([{"points": (c.points * 1e103).tolist()}
                         for c in hopf_pair(16)])
 _SL2 = ["--algebra", "sl2"]
+_K4 = ('{"vertices": [[0,1,2],[3,4,5],[6,7,8],[9,10,11]], "edges": '
+       '[[0,3],[1,6],[2,9],[4,7],[5,10],[8,11]]}')
 EDGE_CASES = {
     "braid-strands": ["invariant", "--link", f"B{_LONG}:", *_SL2, "--framed"],
     "braid-letter": ["invariant", "--link", f"B2:1,{_LONG}", *_SL2,
@@ -366,6 +369,14 @@ EDGE_CASES = {
     "curve-json": ["linking", "--curves", '{"points": [[%s, 0, 0]]}' % _LONG],
     "poly-coefficient": ["expand", "--poly", f"{_LONG}*q", "--order", "2"],
     "poly-exponent": ["expand", "--poly", f"q^{{{_LONG}}}", "--order", "2"],
+    # answers found in under a second whose coefficients pass the limit
+    "expanded-coefficient": ["expand", "--poly", f"q^{{{'9' * 60}}}",
+                             "--order", "100"],
+    "character-coefficient": ["character", *_SL2, "--rep", "sl2",
+                              "--element", f"{'9' * 1000},0,0",
+                              "--order", "10"],
+    "weight-coefficient": ["weights", "--graph", _K4, *_SL2,
+                           "--pairing-scale", f"1/{'9' * 3000}"],
     "coincident-midpoints": ["linking", "--curves", _CUBE],
     "overflowing-curves": ["linking", "--curves", _FAR_HOPF],
     "overflowing-push-off": ["linking", "--curves", "twisted:2",

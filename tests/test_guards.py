@@ -120,6 +120,8 @@ def _invariant(order):
 
 
 _PAIRS = confint.MAX_SEGMENT_PAIRS
+# the longest bit length whose digit estimate is at the limit: 14284
+_BITS = (ring.MAX_PRINTED_DIGITS * 100000 - 1) // 30103
 _SWEEP = isqrt(kauffman.MAX_SWEEP_COST) + 1  # sigma_1^c costs c^2
 _RT = rt.MAX_SWEEP_COST
 # the most kinks an sl2 unknot sweep admits
@@ -184,12 +186,18 @@ GUARDS = {
     "character-wheel": (
         lambda: clifford.wheel_term(builtin("sl2_irrep(9)")[1], [1, 0, 0], 4),
         _CHARACTER_10, (clifford, "_matrix_powers")),
+    "printed-digits": (  # 2^14285 has 4301 digits
+        lambda: ring.format_hseries(ring.HSeries.make(0, [Fraction(
+            1, 2 ** (_BITS + 1))])),
+        ("coefficient digits", ring.MAX_PRINTED_DIGITS + 1,
+         ring.MAX_PRINTED_DIGITS),
+        (Fraction, "__str__")),
     "rt-sweep": (
         lambda: rt.framed_invariant(_kinked_unknot(_KINKS + 1),
                                     sln_fundamental_ribbon(2)),
         (f"RT sweep of {3 * _KINKS + 5} slices, peak width 4, estimate",
          _kinked_unknot_cost(_KINKS + 1), _RT),
-        (rt, "_pieces")),  # the move tables, cached or not
+        (rt, "sweep")),
     "closure-kinks": (
         lambda: _kinked_unknot(10 ** 12),
         (f"closure of B1 with {10 ** 12} crossings, sweep estimate at least",
@@ -294,6 +302,10 @@ ADMITTED = {
     "confint-builder": (
         lambda: [len(c.points) for c in confint.hopf_pair(isqrt(_PAIRS))],
         [2048, 2048]),
+    "printed-digits": (
+        lambda: len(ring.format_hseries(ring.HSeries.make(0, [Fraction(
+            1, 2 ** (_BITS - 1))]))),
+        len("1/ + O(h^1)") + ring.MAX_PRINTED_DIGITS),
     "rt-sweep": (  # at the limit; the slowest admitted sweeps take seconds
         lambda: rt.framed_invariant(_kinked_unknot(_KINKS),
                                     sln_fundamental_ribbon(2)),

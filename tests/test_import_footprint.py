@@ -2,8 +2,8 @@
 
 numpy is imported by ``rtfactor.confint`` only, and the acceptance suite by
 ``verify`` only, so the exact-arithmetic commands start without either; the
-RT move tables are built on the first sweep, not at import; and a builtin
-representation stores its sparse rows only.
+RT move tables are built with the first representation used, not at import;
+and a builtin representation stores its sparse rows only.
 Each check runs in a fresh interpreter: this test session has long since
 imported both.
 """
@@ -60,17 +60,18 @@ def test_linking_command_loads_the_curve_integrals():
 
 
 def test_package_import_builds_no_move_table():
-    # The RT move tables are built by the first sweep of a representation,
-    # so an import or a bracket adds no table work to a cold start.
-    tables = "sys.modules['rtfactor.rt']._pieces.cache_info().currsize"
-    assert fresh("import rtfactor, rtfactor.rt, rtfactor.kauffman",
-                 tables) == 0
+    # The RT move tables are built, and checked, with the first ribbon
+    # representation a command asks for, so an import or a bracket adds no
+    # table work to a cold start.
+    reps = ("sys.modules['rtfactor.quantum_group']"
+            ".sln_fundamental_ribbon.cache_info().currsize")
+    assert fresh("import rtfactor, rtfactor.rt, rtfactor.kauffman", reps) == 0
     assert fresh("from rtfactor import cli\n"
                  "assert cli.main(['bracket', '--link', 'trefoil']) == 0",
-                 tables) == 0
+                 reps) == 0
     assert fresh("from rtfactor import cli\n"
                  "assert cli.main(['invariant', '--link', 'trefoil', "
-                 "'--algebra', 'sl2', '--framed']) == 0", tables) == 1
+                 "'--algebra', 'sl2', '--framed']) == 0", reps) == 1
 
 
 def test_builtin_representation_builds_no_dense_matrix():

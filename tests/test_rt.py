@@ -7,7 +7,8 @@ from math import comb
 
 import pytest
 
-from rtfactor import kauffman, rt
+from rtfactor import kauffman, quantum_group, rt
+from rtfactor._linalg import mat_mul
 from rtfactor.diagram import (
     CAP,
     CUP,
@@ -28,9 +29,6 @@ from rtfactor.diagram import (
 from rtfactor.errors import ArityMismatch, NonInvertibleNormalizer, OpenTangle
 from rtfactor.kauffman import jones_polynomial, kauffman_bracket
 from rtfactor.quantum_group import (
-    lmat_identity,
-    lmat_kron,
-    lmat_mul,
     make_ribbon_rep,
     quantum_dimension,
     ribbon_twist,
@@ -55,28 +53,46 @@ def _tangle(name):
 
 # -- independent oracle: full Kronecker-product slice matrices ----------------
 
+ZERO, ONE = LaurentPoly.zero(), LaurentPoly.one()
+
+
+def _identity(size):
+    return tuple(tuple(ONE if i == j else ZERO for j in range(size))
+                 for i in range(size))
+
+
+def _mul(a, b):
+    return tuple(map(tuple, mat_mul(a, b, zero=ZERO)))
+
+
+def _kron(a, b):
+    """Kronecker product of two (possibly rectangular) matrices."""
+    return tuple(tuple(x * y if x and y else ZERO for x in arow for y in brow)
+                 for arow in a for brow in b)
+
+
 def _slice_matrix(piece, pos, width, rep):
     """I_(n^pos) (x) local (x) I_(n^rest): one slice on all n^width states."""
     n = rep.n
     pairs = [(a, b) for a in range(n) for b in range(n)]
     local, consumed = {
-        ID: (lmat_identity(n), 1),
+        ID: (_identity(n), 1),
         POS_CROSS: (rep.R, 2),
         NEG_CROSS: (rep.R_inv, 2),
         CUP: (tuple((rep.cup[a][b],) for a, b in pairs), 0),
         CAP: ((tuple(rep.cap[a][b] for a, b in pairs),), 2),
     }[piece]
-    left = lmat_identity(n ** pos)
-    right = lmat_identity(n ** (width - pos - consumed))
-    return lmat_kron(lmat_kron(left, local), right)
+    left = _identity(n ** pos)
+    right = _identity(n ** (width - pos - consumed))
+    return _kron(_kron(left, local), right)
 
 
 def _kron_oracle(t, rep):
     """The tangle's matrix as a product of dense slice matrices."""
     width = t.input_arity
-    value = lmat_identity(rep.n ** width)
+    value = _identity(rep.n ** width)
     for piece, pos in t.slices:
-        value = lmat_mul(_slice_matrix(piece, pos, width, rep), value)
+        value = _mul(_slice_matrix(piece, pos, width, rep), value)
         width += {CUP: 2, CAP: -2}.get(piece, 0)
     return value
 
@@ -206,6 +222,20 @@ def test_move_tables_follow_the_representation_swept():
         assert answers[1] == _kron_oracle(t, builtin), t.slices
         differ |= answers[0] != answers[1]
     assert differ
+
+
+def test_sweeps_never_hash_the_representation(monkeypatch):
+    # The move tables hang off the representation, so neither a sweep nor
+    # the build of a new representation looks anything up by its hash.
+    def refuse(self):
+        raise AssertionError("RibbonRep hashed")
+
+    monkeypatch.setattr(quantum_group.RibbonRep, "__hash__", refuse)
+    trefoil = _tangle("trefoil_right")
+    for rep in (sln_fundamental_ribbon(2), _rescaled_rep(2)):
+        assert framed_invariant(trefoil, rep) == parse_laurent(
+            "-q^{-9/4} + q^{-1/4} + q^{3/4} + q^{7/4}")
+    assert compare_with_bracket(trefoil).verdict
 
 
 def test_identity_strand_gives_identity_matrix():
@@ -386,7 +416,7 @@ def test_cable_kink_factors_through_double_braiding():
         rep = sln_fundamental_ribbon(n)
         value = evaluate_sliced_tangle(cable_kink, rep)
         twist = ribbon_twist(rep)
-        expected = _scaled(lmat_mul(rep.R, rep.R), twist * twist)
+        expected = _scaled(_mul(rep.R, rep.R), twist * twist)
         assert value.matrix == expected
 
 
