@@ -40,10 +40,9 @@ from .clifford import (
 from .diagram import (
     CATALOG,
     LinkSpec,
-    braid_permutation,
     make_braid,
+    pd_components,
     pd_from_sliced,
-    permutation_cycles,
     writhe,
 )
 from .kauffman import jones_polynomial
@@ -145,7 +144,7 @@ def check_expansion_structure(rng) -> tuple[bool, str]:
     rep = sln_fundamental_ribbon(2)
     unknot = quantum_dimension(rep)
     knots = [name for name, spec in CATALOG.items()
-             if permutation_cycles(braid_permutation(spec.braid)) == 1]
+             if pd_components(pd_from_sliced(spec.tangle())) == 1]
     for name in knots:
         value = writhe_corrected_invariant(CATALOG[name].tangle(), rep)
         series = hbar_expand_invariant(value, 4, normalize=True, unknot_value=unknot)

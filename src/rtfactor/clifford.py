@@ -12,7 +12,10 @@ are applied during multiplication.  Generator indices are 0-based.
 
 The series identities at the end (character, wheel term, partition function)
 compare a Grassmann-integral route against a matrix-determinant route; both
-sides are computed independently.
+sides are computed independently.  Each matrix there is a scalar series f
+taken at tM, f(tM) = sum_k f_k t^k M^k, formed by one helper from the
+powers of M: e^{s/2} - e^{-s/2} for the character, e^{-s/2} Td(s) for the
+wheel, the product taken on scalars.
 """
 from __future__ import annotations
 
@@ -30,8 +33,8 @@ from .ring import (MAX_SERIES_ORDER, HSeries, rat, series_exp, series_inverse,
 MAX_HH_DIM = 3
 # n! * n * (order + 1)^2 for an n-dim representation: the work of the
 # determinant over all n! permutations.  Measured with the slowest elements
-# tried: n = 4 at order 100 takes 4.1 s, n = 8 at order 1 3.8 s, n = 7 at
-# order 6 1.2 s; n = 8 at order 4 (8064000) takes 6 s, n = 9 at order 4 41 s.
+# tried: n = 4 at order 100 takes 1.3 s, n = 8 at order 1 2.6 s, n = 7 at
+# order 6 0.5 s; n = 8 at order 4 (8064000) takes 3.4 s, n = 9 at order 4 34 s.
 MAX_CHARACTER_COST = 2 ** 21
 
 
@@ -237,24 +240,19 @@ def _coordinate_matrix(rho: Representation, coords, order: int) -> list[list[Fra
     return [[Fraction(row.get(j, 0)) for j in range(n)] for row in sparse]
 
 
-def _matrix_powers(m, order):
+def _series_of_matrix(m, f: HSeries):
+    """f(tM) = sum_k f_k t^k M^k as a matrix of HSeries; each power of M is
+    formed once."""
     n = len(m)
-    powers = [[[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]]
-    for _ in range(order):
-        powers.append(mat_mul(powers[-1], m))
-    return powers
-
-
-def _matrix_exp_series(m, scale: Fraction, order: int):
-    """Matrix of HSeries for exp(scale * t * m), truncated at `order`."""
-    n = len(m)
-    powers = _matrix_powers(m, order)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cs = [scale**k * powers[k][i][j] / factorial(k) for k in range(order + 1)]
-            out[i][j] = HSeries.make(order, cs)
-    return out
+    power = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    coeffs = [[[] for _ in range(n)] for _ in range(n)]
+    for k, fk in enumerate(f.coeffs):
+        if k:
+            power = mat_mul(power, m)
+        for i in range(n):
+            for j in range(n):
+                coeffs[i][j].append(fk * power[i][j])
+    return [[HSeries.make(f.order, cs) for cs in row] for row in coeffs]
 
 
 def _series_det(mat, order: int) -> HSeries:
@@ -285,24 +283,17 @@ def charged_character(g: LieAlgebra, rho: Representation, coords, order: int) ->
     n = rho.dim
     if sum((m[i][i] for i in range(n)), Fraction(0)) != 0:
         raise TraceNotZero("representation image must be traceless")
-    plus = _matrix_exp_series(m, Fraction(1, 2), order)
-    minus = _matrix_exp_series(m, Fraction(-1, 2), order)
-    diff = [[plus[i][j] - minus[i][j] for j in range(n)] for i in range(n)]
-    return _series_det(diff, order)
+    half = HSeries.variable(order) * Fraction(1, 2)
+    f = series_exp(half) - series_exp(-half)
+    return _series_det(_series_of_matrix(m, f), order)
 
 
 def wheel_term(rho: Representation, coords, order: int) -> HSeries:
     """-log det(e^{-tM/2} Td(tM)) as a t-series."""
     m = _coordinate_matrix(rho, coords, order)
-    n = rho.dim
-    powers = _matrix_powers(m, order)
-    td = todd_series(order)
-    exp_m = _matrix_exp_series(m, Fraction(-1, 2), order)
-    td_m = [[HSeries.make(order, [td.coeffs[k] * powers[k][i][j]
-                                  for k in range(order + 1)])
-             for j in range(n)] for i in range(n)]
-    prod = mat_mul(exp_m, td_m, zero=HSeries.zero(order))
-    return -series_log(_series_det(prod, order))
+    half = HSeries.variable(order) * Fraction(1, 2)
+    f = series_exp(-half) * todd_series(order)
+    return -series_log(_series_det(_series_of_matrix(m, f), order))
 
 
 # -- Grassmann (Berezin) side of the partition function ----------------------

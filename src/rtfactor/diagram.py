@@ -72,29 +72,6 @@ def parse_braid(text: str) -> BraidWord:
     return make_braid(strands, word)
 
 
-def braid_permutation(b: BraidWord) -> list[int]:
-    """Where each bottom strand position ends up at the top."""
-    perm = list(range(b.strands))
-    for letter in b.word:
-        i = abs(letter) - 1
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    return perm
-
-
-def permutation_cycles(perm) -> int:
-    seen = [False] * len(perm)
-    count = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        count += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-    return count
-
-
 # ---------------------------------------------------------------------------
 # Sliced tangles
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ def _local_moves(matrix, n, arity_in, arity_out, order):
 @dataclass(frozen=True)
 class RibbonRep:
     n: int                 # carrier dimension
-    root_order: int        # N with u = q^(1/N)
     R: tuple               # n^2 x n^2 braiding matrix
     R_inv: tuple           # its inverse
     cup: tuple             # n x n: image of 1 in V (x) V, as a matrix of coefficients
@@ -146,8 +145,7 @@ def ribbon_twist(rep: RibbonRep) -> LaurentPoly:
     return LaurentPoly.from_terms(rep.moves[0], scalar)
 
 
-def make_ribbon_rep(n: int, root_order: int, R, R_inv, cup, cap,
-                    twist: LaurentPoly) -> RibbonRep:
+def make_ribbon_rep(n: int, R, R_inv, cup, cap, twist: LaurentPoly) -> RibbonRep:
     """Assemble and validate a ribbon representation.
 
     Checks: shapes, R.R_inv = identity, Yang-Baxter, cap inverse to cup
@@ -159,8 +157,8 @@ def make_ribbon_rep(n: int, root_order: int, R, R_inv, cup, cap,
                             (cup, n, "cup"), (cap, n, "cap")]:
         if len(mat) != size or any(len(row) != size for row in mat):
             raise DimensionMismatch(f"{name} has wrong shape")
-    rep = RibbonRep(n, root_order, *(tuple(map(tuple, mat))
-                                     for mat in (R, R_inv, cup, cap)), twist)
+    rep = RibbonRep(n, *(tuple(map(tuple, mat)) for mat in (R, R_inv, cup, cap)),
+                    twist)
     # sweeping no slices gives the identity
     if sweep(rep, *_INVERSE) != sweep(rep, 2, ()):
         raise ValueError("R_inv is not inverse to R")
@@ -214,4 +212,4 @@ def sln_fundamental_ribbon(n: int) -> RibbonRep:
                               -1 if (n - 1 - a) % 2 else 1)
 
     twist = u(n * n - 1, 1 if n % 2 else -1)
-    return make_ribbon_rep(n, N, R, R_inv, cup, cap, twist)
+    return make_ribbon_rep(n, R, R_inv, cup, cap, twist)

@@ -287,9 +287,6 @@ class HSeries:
         """The series h itself."""
         return HSeries.make(order, [0, 1])
 
-    def truncate(self, order: int) -> "HSeries":
-        return HSeries.make(order, self.coeffs)
-
     def __add__(self, other):
         other = _coerce_series(other, self.order)
         if other is NotImplemented:

@@ -258,6 +258,38 @@ def test_character_weight_product():
     assert ch == expected
 
 
+def _exp_minus_identity(m, order):
+    """e^{tM} - I as a matrix of series: sum over k >= 1 of t^k M^k / k!."""
+    n = len(m)
+    power = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    coeffs = [[[Fraction(0)] for _ in range(n)] for _ in range(n)]
+    for k in range(1, order + 1):
+        power = [[sum((power[i][a] * m[a][j] for a in range(n)), Fraction(0))
+                  for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                coeffs[i][j].append(power[i][j] / factorial(k))
+    return [[HSeries.make(order, c) for c in row] for row in coeffs]
+
+
+@pytest.mark.parametrize("name", ["sl2", "so3", "sl2_irrep(2)",
+                                  "sl2_irrep(3)", "sl3"])
+def test_character_non_diagonal_matches_exp_minus_identity(name):
+    # trace M = 0 gives det(e^{tM/2} - e^{-tM/2}) = det(e^{tM} - I)
+    rng = random.Random(9025)
+    g, rep = builtin(name)
+    n = rep.dim
+    for order in [0, 1, rng.randint(2, 5), 6]:
+        coords = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(g.dim)]
+        m = [[sum((c * rep.matrices[a][i][j] for a, c in enumerate(coords)),
+                  Fraction(0)) for j in range(n)] for i in range(n)]
+        assert any(m[i][j] for i in range(n) for j in range(i)), coords
+        assert any(m[i][j] for i in range(n) for j in range(i + 1, n)), coords
+        expected = leibniz_det(_exp_minus_identity(m, order))
+        got = charged_character(g, rep, coords, order)
+        assert got == expected, (coords, order)
+
+
 # -- Berezin route and the partition function identity --------------------------
 
 def test_berezin_equals_determinant_random():

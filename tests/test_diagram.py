@@ -13,14 +13,12 @@ from rtfactor.diagram import (
     BraidWord,
     UnionFind,
     braid_closure_sliced,
-    braid_permutation,
     link_from_json,
     make_braid,
     make_sliced_tangle,
     parse_braid,
     pd_components,
     pd_from_sliced,
-    permutation_cycles,
     resolve_link,
     writhe,
 )
@@ -157,6 +155,29 @@ def test_union_find_classes():
     assert uf.find(0) == uf.find(2) == 1
     assert uf.find(7) == 4
     assert uf.class_count() == 3
+
+
+def braid_permutation(b: BraidWord) -> list[int]:
+    """Where each bottom strand position ends up at the top."""
+    perm = list(range(b.strands))
+    for letter in b.word:
+        i = abs(letter) - 1
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    return perm
+
+
+def permutation_cycles(perm) -> int:
+    seen = [False] * len(perm)
+    count = 0
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        count += 1
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+    return count
 
 
 def test_components_match_braid_permutation_cycles():

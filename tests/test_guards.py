@@ -182,10 +182,10 @@ GUARDS = {
     "character-determinant": (
         lambda: clifford.charged_character(*builtin("sl2_irrep(9)"),
                                            [1, 0, 0], 4),
-        _CHARACTER_10, (clifford, "_matrix_exp_series")),
+        _CHARACTER_10, (clifford, "_series_of_matrix")),
     "character-wheel": (
         lambda: clifford.wheel_term(builtin("sl2_irrep(9)")[1], [1, 0, 0], 4),
-        _CHARACTER_10, (clifford, "_matrix_powers")),
+        _CHARACTER_10, (clifford, "_series_of_matrix")),
     "printed-digits": (  # 2^14285 has 4301 digits
         lambda: ring.format_hseries(ring.HSeries.make(0, [Fraction(
             1, 2 ** (_BITS + 1))])),

@@ -60,13 +60,13 @@ def test_sl3_twist_on_third_root_line():
 
 
 def test_trivial_rep_twist_is_one():
-    rep = RibbonRep(1, 1, ((ONE,),), ((ONE,),), ((ONE,),), ((ONE,),), ONE)
+    rep = RibbonRep(1, ((ONE,),), ((ONE,),), ((ONE,),), ((ONE,),), ONE)
     assert ribbon_twist(rep) == ONE
 
 
 def test_yang_baxter_identity_matrix():
     eye = _identity(3)
-    assert check_yang_baxter(RibbonRep(3, 1, _identity(9), _identity(9),
+    assert check_yang_baxter(RibbonRep(3, _identity(9), _identity(9),
                                        eye, eye, ONE))
 
 
@@ -123,7 +123,7 @@ def test_pivot_commutes_with_braiding():
 def test_kink_not_scalar_on_broken_cup():
     good = sln_fundamental_ribbon(2)
     eye = _identity(2)
-    broken = RibbonRep(2, 4, good.R, good.R_inv, eye, eye, good.twist)
+    broken = RibbonRep(2, good.R, good.R_inv, eye, eye, good.twist)
     with pytest.raises(KinkNotScalar):
         ribbon_twist(broken)
 
@@ -138,8 +138,8 @@ def test_sl4_full_invariants():
 
 def _sl2_data(**changes):
     rep = sln_fundamental_ribbon(2)
-    data = dict(n=2, root_order=4, R=rep.R, R_inv=rep.R_inv, cup=rep.cup,
-                cap=rep.cap, twist=rep.twist)
+    data = dict(n=2, R=rep.R, R_inv=rep.R_inv, cup=rep.cup, cap=rep.cap,
+                twist=rep.twist)
     data.update(changes)
     return data
 

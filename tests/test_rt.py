@@ -185,8 +185,7 @@ def _rescaled_rep(n):
     ribbon representation, now with non-integral coefficients."""
     rep = sln_fundamental_ribbon(n)
     return make_ribbon_rep(
-        n, rep.root_order, rep.R, rep.R_inv,
-        _scaled(rep.cup, LaurentPoly.const(Fraction(3, 2))),
+        n, rep.R, rep.R_inv, _scaled(rep.cup, LaurentPoly.const(Fraction(3, 2))),
         _scaled(rep.cap, LaurentPoly.const(Fraction(2, 3))), rep.twist)
 
 
