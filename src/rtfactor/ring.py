@@ -351,14 +351,17 @@ def _coerce_series(x, order: int):
 def _power_series(x: HSeries, outer) -> HSeries:
     """outer[0] + outer[1]*x + outer[2]*x^2 + ... for x with zero constant
     term, where ``outer`` holds x.order + 1 coefficients."""
+    out = [Fraction(outer[0])] + [Fraction(0)] * x.order
     power = HSeries.const(1, x.order)
-    result = power * outer[0]
     for a in outer[1:]:
         power = power * x
         if not power:
             break
-        result = result + power * a
-    return result
+        if a:
+            for k, c in enumerate(power.coeffs):
+                if c:
+                    out[k] += c * a
+    return HSeries(x.order, tuple(out))
 
 
 def series_exp(s: HSeries) -> HSeries:

@@ -1,10 +1,12 @@
 """Gauss-linking and self-linking integrals on sampled curves."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rtfactor import confint
 from rtfactor.confint import (
     COORDINATE_LIMIT,
     ParamCurve,
@@ -128,26 +130,83 @@ def _stacked_integrand(pts1, pts2):
                 / np.linalg.norm(sep, axis=2) ** 3)
 
 
-@pytest.mark.parametrize("samples", [8, 31, 32, 33, 100])
-def test_blocked_integrals_equal_the_stacked_form_bit_for_bit(samples):
-    # Row counts below, at and across the block size.  Compared by repr, to
-    # the sign of zero: rendered answers of integrals that vanish (about
-    # 1e-20 for the untwisted circle) keep their rounding noise.
-    rng = np.random.default_rng(samples)
-    wild = rng.normal(size=(samples + 5, 3)) * 40.0 + 3.0
-    flat = twisted_circle(samples, 0)
-    pairs = [tuple(c.points for c in hopf_pair(samples)),
-             (wild, rng.normal(size=(samples, 3))),
+def _circle_points(samples, center, normal_axis):
+    """The points of ``unit_circle`` in the plane normal to the given axis,
+    built without its size guard (for one side of a long, thin shape)."""
+    angles = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    e1, e2 = np.delete(np.eye(3), normal_axis, axis=0)
+    return (np.asarray(center)
+            + np.outer(np.cos(angles), e1) + np.outer(np.sin(angles), e2))
+
+
+# Square shapes that fit in one leaf of the pairwise sum; then shapes
+# spanning many leaves, cut mid-row (300 x 517, 9 x 20000) and with the
+# writhe diagonal crossing leaf boundaries (600).
+SHAPES = ([pytest.param(n, n, id=str(n)) for n in (8, 31, 32, 33, 100)]
+          + [pytest.param(300, 517, id="300x517"),
+             pytest.param(600, 600, id="600"),
+             pytest.param(9, 20000, id="9x20000")])
+
+
+@pytest.mark.parametrize("rows, cols", SHAPES)
+def test_blocked_integrals_equal_the_stacked_form_bit_for_bit(rows, cols):
+    # Compared by repr, to the sign of zero: rendered answers of integrals
+    # that vanish (about 1e-20 for the untwisted circle) keep their
+    # rounding noise.
+    rng = np.random.default_rng(rows)
+    wild = rng.normal(size=(rows + 5, 3)) * 40.0 + 3.0
+    flat = twisted_circle(rows, 0)
+    pairs = [(_circle_points(rows, (0.0, 0.0, 0.0), 2),
+              _circle_points(cols, (1.0, 0.0, 0.0), 1)),
+             (wild, rng.normal(size=(cols, 3))),
              (flat.points, flat.points + 0.1 * flat.framing)]
     for p1, p2 in pairs:
         want = float(_stacked_integrand(p1, p2).sum()) / (4.0 * math.pi)
         got = gauss_linking(make_param_curve(p1), make_param_curve(p2))
         assert repr(got) == repr(want)
-    for pts in (torus_knot(samples).points, unit_circle(samples).points, wild):
+    for pts in (torus_knot(rows).points, unit_circle(rows).points, wild):
         stacked = _stacked_integrand(pts, pts)
         np.fill_diagonal(stacked, 0.0)
         want = float(stacked.sum()) / (4.0 * math.pi)
         assert repr(writhe_integral(make_param_curve(pts))) == repr(want)
+
+
+def test_a_collision_in_the_last_leaf_mid_row_is_caught():
+    rows, cols = 300, 517
+    near = unit_circle(cols)
+    far = unit_circle(rows, center=(0.0, 0.0, 100.0)).points
+    assert abs(gauss_linking(make_param_curve(far), near)) < 1e-6
+    # Segment i of the far curve gets segment j's endpoints, so the two
+    # midpoints coincide; no other pair comes near.
+    i, j = rows - 2, 200
+    far[i:i + 2] = near.points[j:j + 2]
+    starts = []
+    confint._pairwise_sum(0, rows * cols,
+                          lambda start, count: starts.append(start) or 0.0)
+    assert starts[-1] < i * cols + j and starts[-1] % cols != 0
+    with pytest.raises(CurvesIntersect):
+        gauss_linking(make_param_curve(far), near)
+
+
+def _traced_peak(call) -> float:
+    """Peak traced allocation of call(), in MB; numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_gauss_integrals_never_hold_a_buffer_per_pair():
+    # An N x M float array is 32 MB at 2048 x 2048 and at 8 x 524288.
+    assert _traced_peak(lambda: gauss_linking(*hopf_pair(2048))) <= 4.0
+    angles = np.linspace(0.0, 2.0 * math.pi, 1 << 19, endpoint=False)
+    wide = make_param_curve(3.0 * np.stack(
+        [np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=1))
+    short = unit_circle(8, center=(0.0, 0.0, 1.0))
+    assert _traced_peak(lambda: gauss_linking(short, wide)) <= 64.0
+    assert _traced_peak(lambda: gauss_linking(wide, short)) <= 64.0
 
 
 def test_twist_of_planar_circle_framings():
@@ -156,6 +215,57 @@ def test_twist_of_planar_circle_framings():
     for turns in (-1, 0, 2):
         value = framing_twist_turns(twisted_circle(256, turns))
         assert abs(value - turns) < 1e-9
+
+
+def _rotate_align(v, a, b):
+    """The minimal rotation taking unit vector a to unit vector b, applied
+    to v; the identity when a and b are parallel."""
+    axis = np.cross(a, b)
+    sin = float(np.linalg.norm(axis))
+    cos = float(np.dot(a, b))
+    if sin < 1e-12:
+        return v
+    k = axis / sin
+    return v * cos + np.cross(k, v) * sin + k * float(np.dot(k, v)) * (1.0 - cos)
+
+
+def _looped_twist_turns(c):
+    """The framing's turns, one parallel-transport step at a time."""
+    tangents = np.roll(c.points, -1, axis=0) - np.roll(c.points, 1, axis=0)
+    tangents /= np.linalg.norm(tangents, axis=1)[:, None]
+    side = c.framing - np.einsum("ij,ij->i", c.framing, tangents)[:, None] * tangents
+    side = side / np.linalg.norm(side, axis=1)[:, None]
+    total = 0.0
+    for i in range(len(side)):
+        j = (i + 1) % len(side)
+        moved = _rotate_align(side[i], tangents[i], tangents[j])
+        sin = float(np.dot(np.cross(moved, side[j]), tangents[j]))
+        cos = float(np.dot(moved, side[j]))
+        total += math.atan2(sin, cos)
+    return total / (2.0 * math.pi)
+
+
+def _seeded_framed_polylines():
+    rng = np.random.default_rng(7)
+    for samples in (8, 9, 40, 200):
+        pts = np.cumsum(rng.normal(size=(samples, 3)), axis=0)
+        yield make_param_curve(pts, np.cross(np.roll(pts, -1, axis=0) - pts,
+                                             rng.normal(size=(samples, 3))))
+    # Straight runs: consecutive tangents are parallel and not rotated.
+    corners = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+                        [0.0, 1.0, 0.0]])
+    square = np.concatenate([corners[k] + np.outer(np.arange(5) / 5.0,
+                                                   corners[(k + 1) % 4] - corners[k])
+                             for k in range(4)])
+    yield make_param_curve(square, [0.0, 0.0, 1.0] + 0.3 * rng.normal(size=square.shape))
+
+
+def test_twist_turns_match_the_stepwise_loop():
+    curves = [twisted_circle(256, turns) for turns in range(-2, 3)]
+    curves += [frenet_framing(torus_knot(512)), frenet_framing(torus_knot(300, 2, 5)),
+               blackboard_framing(torus_knot(512)), *_seeded_framed_polylines()]
+    for c in curves:
+        assert abs(framing_twist_turns(c) - _looped_twist_turns(c)) <= 1e-12
 
 
 def test_framing_required():

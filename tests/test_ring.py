@@ -283,6 +283,30 @@ def test_series_log_exp_roundtrip():
     assert series_exp(series_log(t)) == t
 
 
+def _dense_power_series(x, outer):
+    """sum outer[k] x^k with every power scaled and added in full."""
+    power = HSeries.const(1, x.order)
+    result = power * outer[0]
+    for a in outer[1:]:
+        power = power * x
+        result = result + power * a
+    return result
+
+
+def test_exp_and_log_match_the_dense_power_sum():
+    rng = random.Random(11)
+    for order in range(13):
+        exp_outer = [Fraction(1, factorial(k)) for k in range(order + 1)]
+        log_outer = [Fraction(0)] + [Fraction((-1) ** (k + 1), k)
+                                     for k in range(1, order + 1)]
+        for _ in range(8):
+            x = HSeries.make(order, [0] + [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                if rng.random() < 0.6 else 0 for _ in range(order)])
+            assert series_exp(x) == _dense_power_series(x, exp_outer)
+            assert series_log(x + 1) == _dense_power_series(x, log_outer)
+
+
 def test_series_inverse():
     s = HSeries.make(4, [1, 1])  # 1 + h
     inv = series_inverse(s)
