@@ -4,7 +4,10 @@
 * ``sparse_rows`` and ``row_mul_add``: matrices as lists of sparse
   {column: value} rows, and a sparse row times such a matrix.
 * ``exact_rank``: rank over the rationals, by sparse fraction-free
-  elimination over the integers.
+  elimination over the integers with Markowitz pivots: a column index
+  maps each column to the rows holding it, so a pivot touches only the
+  rows of its column, and the pivot is taken in a shortest row at its
+  least-held column.
 * ``mat_inv``: inverse of a square matrix over the rationals.
 
 Sparse rows are the one matrix format of the Lie and cohomology layer:
@@ -20,6 +23,7 @@ ring's zero as an argument and ``mat_inv`` eliminates on sparse rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import compress, count
 from math import gcd, lcm
 
@@ -64,42 +68,72 @@ def exact_rank(rows) -> int:
 
     Takes any iterable of rows, each a {column: value} dict or a dense list
     or tuple, of Fractions/ints, and does not mutate them.  Rows become
-    {column: int} dicts scaled by the lcm of their denominators.
-    Each pivot is the least-|value| entry p of a shortest row; every other
-    row holding f in that column becomes row*(p/g) - pivot_row*(f/g),
+    {column: int} dicts, scaled by the lcm of their denominators unless
+    already all ints.  A column index maps each column to the live rows
+    holding it, so a pivot visits only the rows of its own column.  The
+    pivot row is a shortest live row, from a heap keyed by length whose
+    stale entries are skipped; its pivot column is the one held by the
+    fewest rows (Markowitz), ties to the least |value| p.  Every other row
+    holding f in that column becomes row*(p/g) - pivot_row*(f/g),
     g = gcd(p, f), divided by the gcd of its entries and dropped once empty.
     """
     work = []
     for row in rows:
         row = {c: v for c, v in
                (row.items() if isinstance(row, dict) else enumerate(row)) if v}
-        if row:
+        if not row:
+            continue
+        if any(type(v) is not int for v in row.values()):
             scale = lcm(*[v.denominator for v in row.values()])
-            work.append({c: v.numerator * (scale // v.denominator)
-                         for c, v in row.items()})
+            row = {c: v.numerator * (scale // v.denominator)
+                   for c, v in row.items()}
+        work.append(row)
+    holders = {}
+    for r, row in enumerate(work):
+        for c in row:
+            holders.setdefault(c, set()).add(r)
+    heap = [(len(row), r) for r, row in enumerate(work)]
+    heapify(heap)
     rank = 0
-    while work:
-        lengths = list(map(len, work))
-        prow = work.pop(lengths.index(min(lengths)))
-        col = min(prow, key=lambda c: abs(prow[c]))
+    while heap:
+        n, r = heappop(heap)
+        prow = work[r]
+        if prow is None or len(prow) != n:
+            continue  # eliminated or changed since this entry was pushed
+        work[r] = None
+        for c in prow:
+            holders[c].discard(r)
+        col = min(prow, key=lambda c: (len(holders[c]), abs(prow[c])))
         p = prow[col]
         rank += 1
-        for r, row in enumerate(work):
-            f = row.get(col)
-            if f is None:
-                continue
+        for s in holders.pop(col):
+            row = work[s]
+            n = len(row)
+            f = row[col]
             g = gcd(p, f)
             a, b = p // g, f // g
-            new = {c: a * v for c, v in row.items()}
+            if a != 1:
+                for c in row:
+                    row[c] *= a
             for c, v in prow.items():
-                x = new.get(c, 0) - b * v
+                x = row.get(c, 0) - b * v
                 if x:
-                    new[c] = x
+                    if c not in row:
+                        holders[c].add(s)
+                    row[c] = x
                 else:
-                    del new[c]
-            g = gcd(*new.values())
-            work[r] = {c: v // g for c, v in new.items()} if g > 1 else new
-        work = [row for row in work if row]
+                    del row[c]
+                    if c != col:
+                        holders[c].discard(s)
+            if not row:
+                work[s] = None
+                continue
+            g = gcd(*row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
+            if len(row) != n:
+                heappush(heap, (len(row), s))
     return rank
 
 

@@ -30,8 +30,11 @@ from ._linalg import exact_rank, mat_mul, row_mul_add
 from .errors import DimensionMismatch, check_size
 from .lie import LieAlgebra, Representation, check_bracket_compatible
 
-# 2^14 admits sl4 cs (4928 cochains) and the sl2_irrep(4) defect (8184, 1 s);
-# the sl2_irrep(5) defect (32760) took 41 s and 1.2 GB.
+# 2^14 admits sl4 cs (4928 cochains, 0.15 s) and the sl2_irrep(4) defect
+# (8184, 0.14 s).  Lifted in a script, the refused sl2_irrep(5) defect (32760)
+# takes 0.7 s and 37 MB, sl4 Betti (32768) 1.3-1.5 s and the sl4 defect
+# (146880) 1.6-2.0 s and 130 MB: the limit is a fixed count, not yet a cost
+# estimate.
 MAX_COCHAINS = 2 ** 14
 DEFECT_DEGREES = (1, 2)
 
@@ -110,34 +113,46 @@ def ce_complex(g: LieAlgebra, module: SuperModule, degrees=None) -> CochainCompl
 
     differentials = [None] * d
     for k in built:
-        # k-subsets of the basis index the columns; rows run over (k+1)-subsets
-        index = {s: i for i, s in enumerate(combinations(range(d), k))}
-        dk = [{} for _ in range(spaces[k + 1])]
-        for big_pos, big in enumerate(combinations(range(d), k + 1)):
-            row_base = big_pos * dim_m
+        # k-subsets of the basis, as bit masks, index the columns; rows run
+        # over (k+1)-subsets, both in combinations order
+        index = {sum(1 << b for b in s): i
+                 for i, s in enumerate(combinations(range(d), k))}
+        dk = []
+        for big in combinations(range(d), k + 1):
+            big_mask = sum(1 << b for b in big)
+            rows = [{} for _ in range(dim_m)]
+            # the action terms of distinct i fill disjoint column blocks
             for i, ti in enumerate(big):
-                rest = big[:i] + big[i + 1:]
-                col_base = index[rest] * dim_m
+                col_base = index[big_mask ^ (1 << ti)] * dim_m
                 sign = -1 if i % 2 else 1
-                for row, arow in zip(dk[row_base:row_base + dim_m], act[ti]):
+                for row, arow in zip(rows, act[ti]):
                     for m, v in arow.items():
-                        col = col_base + m
-                        row[col] = row.get(col, 0) + sign * v
+                        row[col_base + m] = sign * v
+            # the bracket terms act on every module index alike: sum them
+            # per k-subset first, then add each to the dim_m rows once
+            bracket = {}
+            for i, ti in enumerate(big):
                 for j in range(i + 1, k + 1):
                     tj = big[j]
-                    between = big[:i] + big[i + 1:j] + big[j + 1:]
+                    between = big_mask ^ (1 << ti) ^ (1 << tj)
                     pair_sign = -1 if (i + j) % 2 else 1
                     for c, fc in brackets[ti][tj].items():
-                        if c in between:
+                        if between >> c & 1:
                             continue
-                        pos = sum(1 for b in between if b < c)
-                        small = tuple(sorted(between + (c,)))
-                        col = index[small] * dim_m
-                        coeff = pair_sign * fc * (1 if pos % 2 == 0 else -1)
-                        for row in dk[row_base:row_base + dim_m]:
-                            row[col] = row.get(col, 0) + coeff
-                            col += 1
-        differentials[k] = [{c: v for c, v in row.items() if v} for row in dk]
+                        pos = (between & ((1 << c) - 1)).bit_count()
+                        small = index[between | (1 << c)]
+                        coeff = pair_sign * fc if pos % 2 == 0 else -pair_sign * fc
+                        bracket[small] = bracket.get(small, 0) + coeff
+            for small, coeff in bracket.items():
+                if coeff:
+                    col = small * dim_m
+                    for row in rows:
+                        row[col] = row.get(col, 0) + coeff
+                        col += 1
+            # sums of Fractions that come out integral are stored as ints
+            dk += [{c: v if type(v) is int or v.denominator > 1 else v.numerator
+                    for c, v in row.items() if v} for row in rows]
+        differentials[k] = dk
 
     for k, (lower, upper) in enumerate(zip(differentials, differentials[1:])):
         if lower is not None and upper is not None:

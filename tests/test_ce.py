@@ -325,12 +325,27 @@ def _defect_rebased_case(name):
     return g, defect_module(g, rep)
 
 
+def _trivial_rebased_case(name):
+    g, _ = _rebased(*builtin(name), random.Random(7))
+    return g, trivial_module(g)
+
+
+def _representation_case(name, scaled=False):
+    g, rep = builtin(name)
+    if scaled:
+        g, rep = _change_basis(g, rep, _SCALE, _SCALE_INV)
+    return g, module_from_representation(g, rep)
+
+
 @pytest.mark.parametrize("build, args", [
     (_trivial_case, ("sl2",)), (_trivial_case, ("so3",)),
     (_trivial_case, ("sl3",)), (_trivial_case, ("abelian(3)",)),
     (_defect_case, ("sl2",)), (_defect_case, ("sl2", True)),
     (_defect_case, ("so3",)), (_defect_case, ("so3", True)),
-    (_defect_rebased_case, ("so3",))])
+    (_defect_rebased_case, ("so3",)),
+    (_trivial_case, ("abelian(5)",)), (_trivial_rebased_case, ("sl3",)),
+    (_representation_case, ("sl2", True)),
+    (_representation_case, ("sl2_irrep(3)",))])
 def test_sparse_differentials_match_dense_oracle(build, args):
     g, module = build(*args)
     c = ce_complex(g, module)

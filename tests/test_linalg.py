@@ -95,6 +95,94 @@ def test_tuple_rows_accepted_and_input_not_mutated():
     assert exact_rank(iter(lists)) == 2
 
 
+def _dense(rows, cols):
+    return [[row.get(j, 0) for j in range(cols)] for row in rows]
+
+
+def _sparse(rng, rows, cols):
+    """rows sparse rows of 3-6 entries +-1..+-3 on cols columns, a fifth
+    of them Fractions of denominator 2 or 3."""
+    out = []
+    for _ in range(rows):
+        row = {}
+        for c in rng.sample(range(cols), rng.randint(3, min(6, cols))):
+            v = rng.choice((1, -1)) * rng.randint(1, 3)
+            row[c] = Fraction(v, rng.choice((2, 3))) if rng.random() < 0.2 else v
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_random_matrices_match_oracle(seed):
+    rng = random.Random(900 + seed)
+    rows, cols = rng.randint(40, 120), rng.randint(30, 120)
+    m = _sparse(rng, rows, cols)
+    assert exact_rank(m) == _dense_rank(_dense(m, cols))
+
+
+@pytest.mark.parametrize("n", [2, 7, 40])
+@pytest.mark.parametrize("head", [True, False], ids=["head", "tail"])
+def test_arrowheads_match_oracle(n, head):
+    # a diagonal with a full row and column at index 0 (head) or n-1 (tail);
+    # every third diagonal entry zero makes some of them singular
+    hub = 0 if head else n - 1
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = 0 if i % 3 == 2 else i + 1
+        m[hub][i] = m[i][hub] = 1 + i % 2
+    for rows in (m, [list(col) for col in zip(*m)]):
+        assert exact_rank(rows) == _dense_rank(rows)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_diagonal_with_dependent_rows_match_oracle(seed):
+    # low-rank blocks on disjoint columns, then copies of rows, rational
+    # combinations of pairs of rows and zero rows; the rank is the sum
+    # of the blocks' ranks
+    rng = random.Random(950 + seed)
+    m, cols, want = [], 0, 0
+    for _ in range(rng.randint(2, 5)):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        block = _low_rank(rng, r, c, rng.randint(1, 4))
+        want += _dense_rank(block)
+        m += [{cols + j: v for j, v in enumerate(row) if v} for row in block]
+        cols += c
+    for _ in range(len(m)):
+        a, b = rng.choice(m), rng.choice(m)
+        t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        m.append(dict(a) if rng.random() < 0.5 else
+                 {c: a.get(c, 0) + t * b.get(c, 0) for c in a | b})
+    m.append({})
+    rng.shuffle(m)
+    assert exact_rank(m) == _dense_rank(_dense(m, cols)) == want
+
+
+def test_pivot_column_held_only_by_its_row():
+    # column 0 lives only in the first row, the shortest one's least-held
+    # column; nothing is eliminated under it, and the other rows are
+    # dependent among themselves
+    m = [{0: 5, 1: 2}, {1: 1, 2: 1, 3: 1}, {1: 2, 2: 2, 3: 2}, {2: 1, 3: -1},
+         {1: 1, 2: 2}]
+    before = copy.deepcopy(m)
+    assert exact_rank(m) == _dense_rank(_dense(m, 4)) == 3
+    assert m == before
+    private = [{i: 1, 10: i + 1, 11: -1} for i in range(6)]
+    assert exact_rank(private) == 6
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_survives_row_shuffle_and_column_relabelling(seed):
+    rng = random.Random(980 + seed)
+    cols = rng.randint(20, 60)
+    m = _sparse(rng, rng.randint(20, 80), cols)
+    m += [dict(row) for row in rng.sample(m, 5)]
+    want = _dense_rank(_dense(m, cols))
+    labels = rng.sample(range(10 ** 6), cols)
+    shuffled = [{labels[c]: v for c, v in row.items()} for row in m]
+    rng.shuffle(shuffled)
+    assert exact_rank(m) == exact_rank(shuffled) == want
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_mat_inv_times_matrix_is_identity(seed):
     # Seeded Fraction matrices up to 8 x 8, sparse (30% nonzero) and
