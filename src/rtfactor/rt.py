@@ -26,7 +26,6 @@ from .diagram import (
     NEG_CROSS,
     POS_CROSS,
     SlicedTangle,
-    pd_components,
     pd_from_sliced,
     writhe,
 )
@@ -127,68 +126,34 @@ def jones_from_quantum(link: SlicedTangle) -> LaurentPoly:
 
 
 @dataclass(frozen=True)
-class BracketRule:
-    """One way of matching the braiding route to the skein oracle.
-
-    The framed invariant equals
-    global_sign * (-1)^(per_writhe * w + per_component * c) * bracket
-    after rewriting the bracket variable by ``substitution``, where w is
-    the writhe and c the number of link components.
-    """
-
-    substitution: str  # "q = A^4" or "q = A^-4"
-    per_writhe: int
-    per_component: int
-    global_sign: int
-
-
-@dataclass(frozen=True)
 class BracketComparison:
     verdict: bool
     substitution: str | None
     sign_exponent_law: tuple | None  # (per_writhe, per_component)
     global_sign: int | None
-    rules: tuple  # every BracketRule that works for this link
-
-
-_SUBSTITUTIONS = (
-    ("q = A^4", Fraction(1, 4)),
-    ("q = A^-4", Fraction(-1, 4)),
-)
 
 
 def compare_with_bracket(link: SlicedTangle,
                          rep: RibbonRep | None = None) -> BracketComparison:
-    """Search for conventions matching the braiding route to the skein oracle.
+    """Check the braiding route against the skein oracle by the one rule
+    the sl2 data derive.
 
-    Evaluates the closed diagram in the fundamental two-dimensional
-    representation (or a supplied one) and compares against the skein
-    bracket with one loop factor per component, over the finite set of
-    variable substitutions and writhe-and-component sign laws.  Every
-    matching rule is reported; the verdict is whether any rule works.
+    The braiding eigenvalue is q^(1/4) = A and the loop -[2] equals the
+    bracket's delta = -A^2 - A^-2, so the framed invariant in the
+    fundamental two-dimensional representation (or a supplied one) equals
+    the unnormalized bracket at A = q^(1/4), with no sign: substitution
+    q = A^4, sign law (-1)^(0*w + 0*c), global sign +1.  The verdict is
+    whether that holds for this link; when it fails no rule is reported.
     """
     if not link.closed:
         raise OpenTangle("bracket comparison needs a closed diagram")
     if rep is None:
         rep = sln_fundamental_ribbon(2)
     value = framed_invariant(link, rep)
-    pd = pd_from_sliced(link)
-    bracket = kauffman_bracket(pd, normalized=False)
-    w = writhe(link)
-    c = pd_components(pd)
-    rules = []
-    for name, quarter in _SUBSTITUTIONS:
-        mapped = bracket.scale_exponents(quarter)
-        for alpha, beta, gamma in product((0, 1), repeat=3):
-            flip = (alpha * w + beta * c + gamma) % 2
-            if (-mapped if flip else mapped) == value:
-                rules.append(BracketRule(name, alpha, beta, -1 if gamma else 1))
-    if rules:
-        first = rules[0]
-        return BracketComparison(True, first.substitution,
-                                 (first.per_writhe, first.per_component),
-                                 first.global_sign, tuple(rules))
-    return BracketComparison(False, None, None, None, ())
+    bracket = kauffman_bracket(pd_from_sliced(link), normalized=False)
+    if value == bracket.scale_exponents(Fraction(1, 4)):
+        return BracketComparison(True, "q = A^4", (0, 0), 1)
+    return BracketComparison(False, None, None, None)
 
 
 def hbar_expand_invariant(p: LaurentPoly, order: int, normalize: bool = False,

@@ -46,7 +46,6 @@ from .errors import (
 from .lie import InvariantPairing, LieAlgebra, Representation
 from .ring import HSeries
 
-MAX_WEIGHT_ALGEBRA_DIM = 8
 MAX_WEIGHT_COST = 2 ** 19
 MAX_AUT_VERTICES = 8
 # The weight prints through str(), which refuses ints of more than 4300
@@ -369,21 +368,22 @@ def _partners(edges) -> dict:
     return {h: p for e in edges for h, p in (e, e[::-1])}
 
 
-def _plan(graph, dim: int):
+def _plan(graph, dim: int, rho: Representation | None = None):
     """A closed graph's contraction nodes in order and its matching, after
-    the open-leg, algebra, fermion-path and cost checks.  The nodes of a
-    plain graph are its vertices; those of a bicolored graph are its gauge
-    vertices and, per fermion cycle, the gauge half-edges along it."""
+    the open-leg, fermion-path and cost checks.  The nodes of a plain graph
+    are its vertices; those of a bicolored graph are its gauge vertices
+    and, per fermion cycle, the gauge half-edges along it, whose traces
+    over ``rho`` are charged by _cycle_cost."""
     if graph.legs:
         raise OpenGraph("weight of a graph with open legs is not a scalar")
-    check_size("algebra dimension", dim, MAX_WEIGHT_ALGEBRA_DIM)
     if isinstance(graph, JacobiGraph):
         nodes, edges, cycles = graph.vertices, graph.edges, []
     else:
         cycles = [tuple(v[0] for v in cycle) for cycle in _fermion_cycles(graph)]
         nodes, edges = list(graph.gauge_vertices) + cycles, graph.gauge_edges
     partner = _partners(edges)
-    order = _order(dim, nodes, partner, sum(dim ** len(c) for c in cycles))
+    order = _order(dim, nodes, partner,
+                   sum(_cycle_cost(rho, len(c)) for c in cycles))
     return [nodes[i] for i in order], partner
 
 
@@ -444,7 +444,7 @@ def coupled_weight(graph: BicoloredGraph, g: LieAlgebra, rho: Representation,
     one node of the contraction order; each vertex-free fermion loop
     contributes a bare factor of -dim(rho).
     """
-    nodes, partner = _plan(graph, g.dim)
+    nodes, partner = _plan(graph, g.dim, rho)
     loops = graph.fermion_loops
     # the factor has loops * log10(dim rho) digits; the Fraction keeps the
     # product exact for loop counts past the float range
@@ -458,6 +458,29 @@ def coupled_weight(graph: BicoloredGraph, g: LieAlgebra, rho: Representation,
                                      len(pairing.orders))
             cycles[node] = tensor, dc
     return _weight(nodes, partner, setup, cycles) * (-rho.dim) ** loops
+
+
+def _cycle_cost(rho: Representation, k: int) -> int:
+    """The work of _cycle_traces(rho, k), in units of MAX_WEIGHT_COST: each
+    nonzero prefix product of length j < k is stepped by all d matrices
+    over the n carrier rows.  The prefixes of length j are at most d^j and
+    at most the 1^T A^j 1 index walks through nonzero entries, where
+    A[i][t] counts the matrices with a nonzero (i, t) entry.  Eight such
+    row steps, 2-4 microseconds, make one unit, about the slowest unit of
+    the contraction.  The sum stops once past the limit."""
+    d, n = len(rho.rows), rho.dim
+    walks, prefixes = [1] * n, 0
+    for j in range(k):
+        prefixes += min(d ** j, sum(walks))
+        if d * n * prefixes > 8 * MAX_WEIGHT_COST:
+            break
+        step = [0] * n
+        for mat in rho.rows:
+            for i, row in enumerate(mat):
+                for t in row:
+                    step[t] += walks[i]
+        walks = step
+    return -(-d * n * prefixes // 8)
 
 
 def _cycle_traces(rho: Representation, k: int) -> dict:

@@ -36,6 +36,8 @@ from rtfactor.ring import MAX_SERIES_ORDER
 from rtfactor.weights import (fermion_wheel, generate_trivalent_family,
                               graph_to_json)
 
+from test_weights import chord_diagram
+
 FUZZ = settings(derandomize=True, database=None, deadline=None,
                 max_examples=100, suppress_health_check=list(HealthCheck))
 
@@ -115,11 +117,11 @@ LONG_LINKS = _links(30)
 
 SMALL_ALGEBRAS = ["sl2", "so3", "abelian(1)", "abelian(2)", "abelian(3)",
                   "sl2_irrep(1)", "sl2_irrep(2)"]
-# Refused by a size guard or by name.  Kept near the size limits, so that
-# without the guards an example costs seconds, not the machine's memory.
-REFUSED_ALGEBRAS = ["e8", "sl2(3)", "abelian(0)", "abelian(9)", "abelian(16)",
-                    "sln_fundamental(1)", "sln_fundamental(5)",
-                    "sl2_irrep(1024)", "abelian(" + "9" * 40 + ")"]
+# Refused by the build budget or by name.  Kept near the budget, so that
+# without it an example costs seconds, not the machine's memory.
+REFUSED_ALGEBRAS = ["e8", "sl2(3)", "abelian(0)", "abelian(184)",
+                    "sln_fundamental(1)", "sln_fundamental(14)",
+                    "sl2_irrep(174761)", "abelian(" + "9" * 40 + ")"]
 
 
 @st.composite
@@ -381,7 +383,33 @@ EDGE_CASES = {
     "overflowing-curves": ["linking", "--curves", _FAR_HOPF],
     "overflowing-push-off": ["linking", "--curves", "twisted:2",
                              "--epsilon", "1e300"],
+    # the Lie-side build and weight budgets
+    "sl6-cs": ["cohomology", "--algebra", "sln_fundamental(6)",
+               "--deformation", "cs"],
+    "json-dim-5000": ["cohomology", "--algebra", '{"dim": 5000}'],
+    "irrep-wheel-10": ["weights", "--algebra", "sl2", "--rep",
+                       "sl2_irrep(1023)", "--graph",
+                       graph_to_json(fermion_wheel(10))],
 }
+
+
+# Inputs the build budget admits that a bare dimension limit refused.
+_SL5 = ["--algebra", "sln_fundamental(5)"]
+ADMITTED_EDGE_CASES = {
+    "sl5-character": ["character", *_SL5, "--rep", "sln_fundamental(5)",
+                      "--element", ",".join(["1"] + ["0"] * 23),
+                      "--order", "4"],
+    "sl5-chords": ["weights", *_SL5, "--pairing-scale", "1/10", "--graph",
+                   graph_to_json(chord_diagram([(0, 2), (1, 3)]))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADMITTED_EDGE_CASES))
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_admitted_edge_case_exits_0(capsys, name, form):
+    assert main(ADMITTED_EDGE_CASES[name] + ["--format", form]) == 0
+    out, err = capsys.readouterr()
+    assert out and err == ""
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))

@@ -9,6 +9,8 @@ and another keeps README's size-limit table in step with the constants.
 
 import ast
 import importlib
+import json
+import random
 import re
 from fractions import Fraction
 from itertools import count
@@ -20,6 +22,7 @@ import pytest
 
 from rtfactor import (ce, cli, clifford, confint, diagram, kauffman, lie, ring,
                       rt, weights)
+from rtfactor._linalg import row_mul_add
 from rtfactor.diagram import (LinkSpec, braid_closure_sliced, make_braid,
                               pd_from_sliced)
 from rtfactor.errors import DimensionTooLarge
@@ -27,7 +30,9 @@ from rtfactor.lie import InvariantPairing, builtin
 from rtfactor.quantum_group import (quantum_dimension, ribbon_twist,
                                     sln_fundamental_ribbon)
 
-from test_weights import disjoint_union
+from test_lie import (LARGEST_ABELIAN, LARGEST_CARRIER, build_estimate,
+                      build_message)
+from test_weights import chord_diagram, disjoint_union
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rtfactor"
 README = SRC.parents[1] / "README.md"
@@ -47,13 +52,6 @@ def _identity_pairing(dim):
         tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)),))
 
 
-def _thetas(count):
-    graph = weights.theta_graph()
-    for _ in range(count - 1):
-        graph = disjoint_union(graph, weights.theta_graph())
-    return graph
-
-
 def _prism(sides):
     """Two ``sides``-gons joined rung by rung: 2 * sides vertices."""
     edges = [(3 * i + 2, 3 * (sides + i) + 2) for i in range(sides)]
@@ -67,6 +65,13 @@ def _prism(sides):
 def _sl3_killing():
     g, _ = builtin("sl3")
     return g, InvariantPairing((tuple(map(tuple, lie.killing_form(g))),))
+
+
+def _trace_pairing(n):
+    """tr(XY) on the fundamental of sl_n: the Killing form over 2n."""
+    g, _ = builtin(f"sln_fundamental({n})")
+    return InvariantPairing((tuple(tuple(x / (2 * n) for x in row)
+                                   for row in lie.killing_form(g)),))
 
 
 def _loop_weight(loops):
@@ -131,6 +136,52 @@ _KINKS = next(k for k in count() if _kinked_unknot_cost(k + 1) > _RT)
 _CHARACTER_10 = ("character of a 10-dim representation at order 4, estimate",
                  factorial(10) * 10 * 5 ** 2, clifford.MAX_CHARACTER_COST)
 
+
+def _dense_json(name, steps, seed):
+    """The builtin algebra ``name`` as JSON in the basis reached by
+    ``steps`` seeded operations e_i += s e_j: still a Lie algebra, with
+    most of its structure constants nonzero."""
+    g, _ = builtin(name)
+    d, rng = g.dim, random.Random(seed)
+    new = [{i: 1} for i in range(d)]  # new basis vectors, old coordinates
+    old = [{i: 1} for i in range(d)]  # old basis vectors, new coordinates
+    for _ in range(steps):
+        i, j = rng.sample(range(d), 2)
+        s = rng.choice((1, -1))
+        row_mul_add(new[i], {j: s}, new)
+        for row in old:  # e'_i = e''_i - s e''_j
+            row[j] = row.get(j, 0) - s * row.get(i, 0)
+    entries = []
+    for i, x in enumerate(new):
+        for j, y in enumerate(new):
+            bracket = {}
+            for a, u in x.items():
+                for b, v in y.items():
+                    for c, f in g.brackets[a][b].items():
+                        row_mul_add(bracket, {c: u * v * f}, old)
+            entries += [[i, j, k, str(v)] for k, v in bracket.items() if v]
+    return {"dim": d, "brackets": entries}
+
+
+def _dense_message(data):
+    """lie's refusal of a parsed algebra, with its Jacobi products: each
+    listed f_ab^c meets every entry listed in plane c."""
+    listed = [0] * data["dim"]
+    for a, _, _, _ in data["brackets"]:
+        listed[a] += 1
+    products = sum(listed[c] for _, _, c, _ in data["brackets"])
+    return (f"build of a {data['dim']}-dim algebra, estimate",
+            build_estimate(data["dim"], 0, products), lie.MAX_BUILD_COST)
+
+
+# sl6 in a basis where 32922 of its 42875 constants are nonzero: with the
+# limit lifted its Jacobi check takes about 1.9 s and its Killing form 2.3 s
+_DENSE_SL6 = _dense_json("sln_fundamental(6)", 100, 3)
+# The 10-spoke wheel over sl2_irrep(1023): the sum stops at the prefixes of
+# length 7, 3 * 1024 * (3^8 - 1) / 2 / 8, past the limit (29.8 s to finish).
+_WHEEL_10 = ("weight contraction of 1 nodes, peak frontier 0, estimate",
+             1 + 192 * (3 ** 8 - 1), weights.MAX_WEIGHT_COST)
+
 # id: (refused call, (what, size, limit), costly step (module, attribute))
 GUARDS = {
     "series-order": (
@@ -147,22 +198,29 @@ GUARDS = {
         ("series order", ring.MAX_SERIES_ORDER + 1, ring.MAX_SERIES_ORDER),
         (cli, "framed_invariant")),
     "algebra-json": (
-        lambda: lie.algebra_from_json('{"dim": 16}'),
-        ("algebra dimension", 16, lie.MAX_PARSED_ALGEBRA_DIM),
-        (lie, "Fraction")),
+        lambda: lie.algebra_from_json('{"dim": %d}' % (LARGEST_ABELIAN + 1)),
+        (f"build of a {LARGEST_ABELIAN + 1}-dim algebra, estimate",
+         build_estimate(LARGEST_ABELIAN + 1), lie.MAX_BUILD_COST),
+        (lie, "_checked_algebra")),
+    "algebra-dense": (
+        lambda: lie.algebra_from_json(json.dumps(_DENSE_SL6)),
+        _dense_message(_DENSE_SL6), (lie, "combinations")),
     "builtin-abelian": (
-        lambda: builtin("abelian(16)"),
-        ("algebra dimension", 16, lie.MAX_PARSED_ALGEBRA_DIM),
-        (lie, "Fraction")),
+        lambda: builtin(f"abelian({LARGEST_ABELIAN + 1})"),
+        (f"build of a {LARGEST_ABELIAN + 1}-dim algebra, estimate",
+         build_estimate(LARGEST_ABELIAN + 1), lie.MAX_BUILD_COST),
+        (lie, "_checked_algebra")),
     "builtin-sln": (
-        lambda: builtin("sln_fundamental(5)"),
-        ("algebra dimension", 24, lie.MAX_PARSED_ALGEBRA_DIM),
-        (lie, "Fraction")),
+        lambda: builtin("sln_fundamental(14)"),
+        ("build of a 195-dim algebra on a 14-dim carrier, estimate",
+         build_estimate(195, 14), lie.MAX_BUILD_COST),
+        (lie, "row_mul_add")),
     "builtin-sl2-irrep": (
-        lambda: builtin(f"sl2_irrep({lie.MAX_IRREP_DIM})"),
-        ("sl2_irrep carrier dimension", lie.MAX_IRREP_DIM + 1,
-         lie.MAX_IRREP_DIM),
-        (lie, "Fraction")),
+        lambda: builtin(f"sl2_irrep({LARGEST_CARRIER})"),
+        (f"build of a 3-dim algebra on a {LARGEST_CARRIER + 1}-dim carrier, "
+         "estimate", build_estimate(3, LARGEST_CARRIER + 1),
+         lie.MAX_BUILD_COST),
+        (lie, "_sl2")),
     "ce-cochains": (  # every degree of abelian(15): 2^15 cochains
         lambda: ce.ce_complex(*_trivial_case(15)),
         ("cochain count", 2 ** 15, ce.MAX_COCHAINS),
@@ -208,22 +266,16 @@ GUARDS = {
         (f"bracket sweep of {_SWEEP} crossings, peak 4 open ends, estimate",
          _SWEEP ** 2, kauffman.MAX_SWEEP_COST),
         (kauffman, "loop_value")),
-    "weights-algebra": (
-        lambda: weights.lie_weight(_thetas(1), builtin("abelian(9)")[0],
-                                   _identity_pairing(9)),
-        ("algebra dimension", 9, weights.MAX_WEIGHT_ALGEBRA_DIM),
-        (weights, "_edge_scalars")),
     "weights-cost": (  # 18 vertices, 5 open half-edges at the peak
         lambda: weights.lie_weight(_prism(9), *_sl3_killing()),
         ("weight contraction of 18 nodes, peak frontier 5, estimate",
          18 * 8 ** 5, weights.MAX_WEIGHT_COST),
         (weights, "_edge_scalars")),
-    "weights-fermion-cycle": (  # one cycle tensor of 8^8 entries
-        lambda: weights.coupled_weight(weights.fermion_wheel(8),
-                                       *builtin("sl3"), _identity_pairing(8)),
-        ("weight contraction of 1 nodes, peak frontier 0, estimate",
-         1 + 8 ** 8, weights.MAX_WEIGHT_COST),
-        (weights, "_edge_scalars")),
+    "weights-fermion-cycle": (
+        lambda: weights.coupled_weight(weights.fermion_wheel(10),
+                                       *builtin("sl2_irrep(1023)"),
+                                       _identity_pairing(3)),
+        _WHEEL_10, (weights, "_edge_scalars")),
     "weights-fermion-loops": (
         lambda: _loop_weight(_LOOPS + 1),
         (f"fermion loop factor (-2)^{_LOOPS + 1}, digits",
@@ -268,13 +320,19 @@ ADMITTED = {
     "series-order": (
         lambda: ring.HSeries.make(ring.MAX_SERIES_ORDER, [1]).order,
         ring.MAX_SERIES_ORDER),
+    # the largest bracket-free algebra, in about 2 s
     "algebra-json": (
-        lambda: lie.algebra_from_json(
-            '{"dim": %d}' % lie.MAX_PARSED_ALGEBRA_DIM).dim,
-        lie.MAX_PARSED_ALGEBRA_DIM),
+        lambda: lie.algebra_from_json('{"dim": %d}' % LARGEST_ABELIAN).dim,
+        LARGEST_ABELIAN),
     "builtin-abelian": (
-        lambda: builtin(f"abelian({lie.MAX_PARSED_ALGEBRA_DIM})")[0].dim,
-        lie.MAX_PARSED_ALGEBRA_DIM),
+        lambda: builtin(f"abelian({LARGEST_ABELIAN})")[0].dim,
+        LARGEST_ABELIAN),
+    # the largest sl_n by name, in about 1.5 s
+    "builtin-sln": (
+        lambda: builtin("sln_fundamental(12)")[1].dim, 12),
+    # the largest sl2 carrier, uncached: about 1.2 s and 160 MB
+    "builtin-sl2-irrep": (
+        lambda: lie._sl2_irrep(LARGEST_CARRIER - 1)[1].dim, LARGEST_CARRIER),
     "ce-cochains": (  # every degree of abelian(14): 2^14 cochains
         lambda: ce.cohomology_dims(ce.ce_complex(*_trivial_case(14))),
         tuple(comb(14, k) for k in range(15))),
@@ -289,11 +347,18 @@ ADMITTED = {
         lambda: clifford.partition_function_identity(
             *builtin("sl2_irrep(6)"), [1, 0, 0], 6).holds,
         True),
-    # sl3 has the largest dimension admitted; the 8-sided prism costs
-    # 16 * 8^5, exactly the limit, and takes well under a second.
+    # the 8-sided prism costs 16 * 8^5, exactly the limit, and takes well
+    # under a second.
     "weights-algebra-and-cost": (
         lambda: weights.lie_weight(_prism(8), *_sl3_killing()),
         Fraction(4147, 3888)),
+    # sl5 degree-3 chords (0, 3), (1, 4), (2, 5) on one Wilson loop, charged
+    # 1 + 518145 of the limit: about 1.2 s
+    "weights-fermion-cycle": (
+        lambda: weights.coupled_weight(
+            chord_diagram([(0, 3), (1, 4), (2, 5)]),
+            *builtin("sln_fundamental(5)"), _trace_pairing(5)),
+        Fraction(-624, 25)),
     "weights-fermion-loops": (  # a 1000-digit factor, printed
         lambda: len(str(_loop_weight(_LOOPS))), 1 + weights.MAX_LOOP_DIGITS),
     "weights-symmetry": (  # the cube graph
@@ -321,25 +386,24 @@ def test_guard_admits_its_limit(name):
 
 
 # Guards a command line reaches, one above the limit: (argv, message)
-_FOUR_THETAS = weights.graph_to_json(_thetas(4))
 _PRISM_9 = weights.graph_to_json(_prism(9))
 CLI_REFUSALS = [
     (["expand", "--poly", "q", "--order", "101"],
      _message("series order", 101, 100)),
     (["character", "--algebra", "sl2", "--rep", "sl2_irrep(9)", "--element",
       "1,0,0", "--order", "4"], _message(*_CHARACTER_10)),
-    (["cohomology", "--algebra", "abelian(16)"],
-     _message("algebra dimension", 16, 15)),
+    (["cohomology", "--algebra", f"abelian({LARGEST_ABELIAN + 1})"],
+     build_message(LARGEST_ABELIAN + 1)),
     (["cohomology", "--algebra", "sl2", "--coefficients",
-      "rep:sl2_irrep(1024)"],
-     _message("sl2_irrep carrier dimension", 1025, 1024)),
+      f"rep:sl2_irrep({LARGEST_CARRIER})"],
+     build_message(3, LARGEST_CARRIER + 1)),
     (["cohomology", "--algebra", "abelian(15)"],
      _message("cochain count", 2 ** 15, 2 ** 14)),
     (["cohomology", "--algebra", "sl2", "--deformation", "defect",
       "--coefficients", "rep:sl2_irrep(5)"],
      _message("cochain count", 8 * 4095, 2 ** 14)),
-    (["weights", "--algebra", "abelian(9)", "--graph", _FOUR_THETAS],
-     _message("algebra dimension", 9, 8)),
+    (["weights", "--algebra", "sl2", "--rep", "sl2_irrep(1023)", "--graph",
+      weights.graph_to_json(weights.fermion_wheel(10))], _message(*_WHEEL_10)),
     (["weights", "--algebra", "sl3", "--graph", _PRISM_9],
      _message("weight contraction of 18 nodes, peak frontier 5, estimate",
               18 * 8 ** 5, 2 ** 19)),

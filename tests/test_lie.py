@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rtfactor import ce, weights
+from rtfactor import ce
 from rtfactor._linalg import exact_rank
 from rtfactor.errors import (
     AntisymmetryViolation,
@@ -21,9 +21,9 @@ from rtfactor.errors import (
     ParseError,
     UnknownName,
 )
+from rtfactor import cli
 from rtfactor.lie import (
-    MAX_IRREP_DIM,
-    MAX_PARSED_ALGEBRA_DIM,
+    MAX_BUILD_COST,
     Representation,
     algebra_from_json,
     algebra_to_json,
@@ -352,18 +352,36 @@ def test_algebra_json_dim_must_be_positive_integer(dim):
         algebra_from_json('{"dim": %s}' % dim)
 
 
-def test_algebra_json_size_limit_admits_every_command():
-    assert MAX_PARSED_ALGEBRA_DIM >= weights.MAX_WEIGHT_ALGEBRA_DIM
-    # the cochain guard admits the bulk complex of every parsed algebra
-    g, _ = builtin(f"abelian({MAX_PARSED_ALGEBRA_DIM})")
-    assert ce.cs_deformation_cohomology(g) == (
-        comb(MAX_PARSED_ALGEBRA_DIM, 3), comb(MAX_PARSED_ALGEBRA_DIM, 4))
-    # character takes a JSON algebra equal to a builtin with a representation
-    assert MAX_PARSED_ALGEBRA_DIM >= builtin("sln_fundamental(4)")[0].dim
-    dim = MAX_PARSED_ALGEBRA_DIM
-    with pytest.raises(DimensionTooLarge, match=re.escape(
-            f"algebra dimension {dim + 1} exceeds the limit {dim}") + "$"):
-        algebra_from_json(json.dumps({"dim": dim + 1}))
+def build_estimate(d, n=0, products=0):
+    """The build charge of lie: d^2 bracket rows, C(d, 3) Jacobi triples,
+    the Jacobi products, and the d n rows and C(d, 2) n basis-pair steps
+    of an n-dim carrier."""
+    return d * d + comb(d, 3) + products + n * (d + comb(d, 2))
+
+
+def build_message(d, n=0):
+    carrier = f" on a {n}-dim carrier" if n else ""
+    return (f"build of a {d}-dim algebra{carrier}, estimate "
+            f"{build_estimate(d, n)} exceeds the limit {MAX_BUILD_COST}")
+
+
+# the largest bracket-free algebra and sl2 carrier the build budget admits
+LARGEST_ABELIAN = max(d for d in range(400)
+                      if build_estimate(d) <= MAX_BUILD_COST)
+LARGEST_CARRIER = (MAX_BUILD_COST - build_estimate(3)) // (3 + comb(3, 2))
+
+
+def test_large_admitted_algebra_cs_refused_by_cochain_count(capsys):
+    # The build budget admits algebras whose complexes ce refuses.
+    d = LARGEST_ABELIAN
+    text = json.dumps({"dim": d})
+    assert algebra_from_json(text).dim == d
+    assert cli.main(["cohomology", "--algebra", text, "--deformation",
+                     "cs"]) == 1
+    count = sum(comb(d, j) for j in range(2, 6))
+    assert capsys.readouterr() == (
+        "", f"error: cochain count {count} exceeds the limit "
+            f"{ce.MAX_COCHAINS}\n")
 
 
 def _refusal_under_memory_cap(call: str) -> str:
@@ -393,32 +411,33 @@ def _refusal_under_memory_cap(call: str) -> str:
 def test_huge_algebra_json_refused_before_allocating():
     assert _refusal_under_memory_cap(
         "algebra_from_json(json.dumps({'dim': 100000}))") == (
-        f"algebra dimension 100000 exceeds the limit {MAX_PARSED_ALGEBRA_DIM}")
+        build_message(100000))
 
 
 def test_huge_builtin_refused_before_allocating():
     assert _refusal_under_memory_cap("builtin('abelian(100000)')") == (
-        f"algebra dimension 100000 exceeds the limit {MAX_PARSED_ALGEBRA_DIM}")
+        build_message(100000))
 
 
-@pytest.mark.parametrize("name, message", [
-    ("abelian(16)",
-     f"algebra dimension 16 exceeds the limit {MAX_PARSED_ALGEBRA_DIM}"),
-    ("sln_fundamental(5)",
-     f"algebra dimension 24 exceeds the limit {MAX_PARSED_ALGEBRA_DIM}"),
-    ("sl2_irrep(1024)",
-     f"sl2_irrep carrier dimension 1025 exceeds the limit {MAX_IRREP_DIM}"),
+@pytest.mark.parametrize("name, d, n", [
+    (f"abelian({LARGEST_ABELIAN + 1})", LARGEST_ABELIAN + 1, 0),
+    ("sln_fundamental(14)", 195, 14),
+    (f"sl2_irrep({LARGEST_CARRIER})", 3, LARGEST_CARRIER + 1),
 ])
-def test_builtin_size_guard_refuses_before_building(name, message):
+def test_builtin_size_guard_refuses_before_building(name, d, n):
     # Refused by name and size, before any bracket row or matrix is built.
-    with pytest.raises(DimensionTooLarge, match=re.escape(message) + "$"):
+    with pytest.raises(DimensionTooLarge,
+                       match=re.escape(build_message(d, n)) + "$"):
         builtin(name)
 
 
 def test_builtin_size_guard_admits_the_limits():
-    assert builtin(f"abelian({MAX_PARSED_ALGEBRA_DIM})")[0].dim == (
-        MAX_PARSED_ALGEBRA_DIM)
-    assert builtin("sln_fundamental(4)")[0].dim <= MAX_PARSED_ALGEBRA_DIM
+    # sln_fundamental(5) to (8) build in well under a second; the Jacobi
+    # products refuse sln_fundamental(13) once its brackets are known.
+    for n in range(5, 9):
+        assert builtin(f"sln_fundamental({n})")[0].dim == n * n - 1
+    with pytest.raises(DimensionTooLarge, match="build of a 168-dim"):
+        builtin("sln_fundamental(13)")
 
 
 def test_builtin_parameter_with_too_many_digits_is_unknown():

@@ -58,6 +58,43 @@ def _killing_pairing(g, scale=1):
                                    for row in killing_form(g)),))
 
 
+def chord_diagram(chords) -> BicoloredGraph:
+    """One Wilson loop through 2m coupling vertices, its gauge half-edges
+    joined by the m chords (i, j)."""
+    k = 2 * len(chords)
+    return make_bicolored_graph(
+        (), [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)], (),
+        [(3 * i, 3 * j) for i, j in chords],
+        [(3 * i + 1, 3 * ((i + 1) % k) + 2) for i in range(k)])
+
+
+def _trace_pairing(g, rho):
+    """The trace form tr(rho_a rho_b) of a representation."""
+    return InvariantPairing((tuple(tuple(
+        Fraction(sum(v * rho.rows[b][t].get(i, 0)
+                     for i, row in enumerate(rho.rows[a])
+                     for t, v in row.items()))
+        for b in range(g.dim)) for a in range(g.dim)),))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_crossed_minus_parallel_chords_is_n_times_n_squared_minus_one(n):
+    g, rho = builtin(f"sln_fundamental({n})")
+    trace = _trace_pairing(g, rho)
+    assert trace == _killing_pairing(g, Fraction(1, 2 * n))
+    crossed = coupled_weight(chord_diagram([(0, 2), (1, 3)]), g, rho, trace)
+    parallel = coupled_weight(chord_diagram([(0, 1), (2, 3)]), g, rho, trace)
+    assert crossed - parallel == n * (n * n - 1)
+
+
+@pytest.mark.parametrize("n, weight", [(4, Fraction(-255, 16)),
+                                       (5, Fraction(-624, 25))])
+def test_degree_3_chords_at_sl4_and_sl5_are_admitted(n, weight):
+    g, rho = builtin(f"sln_fundamental({n})")
+    assert coupled_weight(chord_diagram([(0, 3), (1, 4), (2, 5)]), g, rho,
+                          _killing_pairing(g, Fraction(1, 2 * n))) == weight
+
+
 def test_theta_weight_is_dimension_for_killing():
     for g, _ in (builtin("sl2"), builtin("so3"), builtin("sl3")):
         weight = lie_weight(theta_graph(), g, _killing_pairing(g))
@@ -112,20 +149,26 @@ def test_open_graph_rejected():
 
 
 def test_size_guards():
+    # The dimension alone refuses nothing: abelian(9) on theta costs 2 * 9^3.
     g, _ = builtin("abelian(9)")
     pairing = InvariantPairing((tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(9))
         for i in range(9)),))
-    with pytest.raises(DimensionTooLarge):
-        lie_weight(theta_graph(), g, pairing)
+    assert lie_weight(theta_graph(), g, pairing) == 0
     # Twelve edges, refused by the old edge count, cost 8 * 3^3 now.
     big = disjoint_union(disjoint_union(theta_graph(), theta_graph()),
                          disjoint_union(theta_graph(), theta_graph()))
     g2, rho = builtin("sl2")
     assert lie_weight(big, g2, _killing_pairing(g2)) == 3 ** 4
-    # The twelve-spoke wheel's cycle tensor alone has 3^12 entries.
-    with pytest.raises(DimensionTooLarge, match="estimate 531442 exceeds"):
-        coupled_weight(fermion_wheel(12), g2, rho, _killing_pairing(g2))
+    # The twelve-spoke wheel's cycle walks at most 2^(j + 1) prefixes of
+    # length j, not 3^j: 1 + 6 * 8188 / 8 of the limit.
+    assert weights._cycle_cost(rho, 12) == 6141
+    assert coupled_weight(fermion_wheel(12), g2, rho,
+                          _killing_pairing(g2)) == Fraction(-729, 131072)
+    # Over sl2_irrep(1023) the walk meets every one of the 3^j prefixes.
+    g3, rho3 = builtin("sl2_irrep(1023)")
+    with pytest.raises(DimensionTooLarge, match="estimate 1259521 exceeds"):
+        coupled_weight(fermion_wheel(8), g3, rho3, _killing_pairing(g3))
 
 
 def test_graded_pairing_weight_expands_order_by_order():
