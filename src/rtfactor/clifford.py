@@ -233,8 +233,13 @@ def _coordinate_matrix(rho: Representation, coords, order: int) -> list[list[Fra
             f"coordinate vector has length {len(coords)}, algebra has {len(rho.rows)}")
     n = rho.dim
     check_size("series order", order, MAX_SERIES_ORDER)
+    cost = n * (order + 1) ** 2
+    for i in range(2, n + 1):  # n!, until the estimate passes the limit
+        if cost > MAX_CHARACTER_COST:
+            break
+        cost *= i
     check_size(f"character of a {n}-dim representation at order {order}, estimate",
-               factorial(n) * n * (order + 1) ** 2, MAX_CHARACTER_COST)
+               cost, MAX_CHARACTER_COST)
     coeffs = dict(enumerate(map(rat, coords)))
     sparse = [row_mul_add({}, coeffs, [rows[i] for rows in rho.rows]) for i in range(n)]
     return [[Fraction(row.get(j, 0)) for j in range(n)] for row in sparse]

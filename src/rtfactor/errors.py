@@ -46,8 +46,9 @@ def check_size(what: str, size: int, limit: int) -> None:
     The one place DimensionTooLarge is raised.  Each limit lives in the
     module it bounds; ``what`` names the quantity in the message.
     """
-    if size > limit:
-        raise DimensionTooLarge(f"{what} {size} exceeds the limit {limit}")
+    if size > limit:  # past 14000 bits, near str()'s 4300 digits, print a power of 2
+        shown = f"at least 2^{size.bit_length() - 1}" if size >> 14000 else size
+        raise DimensionTooLarge(f"{what} {shown} exceeds the limit {limit}")
 
 
 def load_json(text: str, what: str):

@@ -253,7 +253,7 @@ def _so3() -> tuple[LieAlgebra, Representation]:
     # matrix ad(L_a) has entry f_ab^c in row c, column b
     g = _checked_algebra([[{}, {2: 1}, {1: -1}],
                           [{2: -1}, {}, {0: 1}],
-                          [{1: 1}, {0: -1}, {}]], 3)
+                          [{1: 1}, {0: -1}, {}]])
     rep = _from_rows(3, [[{b: row[c] for b, row in enumerate(plane) if c in row}
                           for c in range(3)] for plane in g.brackets])
     check_representation(g, rep)

@@ -136,15 +136,11 @@ class BracketComparison:
 def compare_with_bracket(link: SlicedTangle,
                          rep: RibbonRep | None = None) -> BracketComparison:
     """Check the braiding route against the skein oracle by the one rule
-    the sl2 data derive.
-
-    The braiding eigenvalue is q^(1/4) = A and the loop -[2] equals the
-    bracket's delta = -A^2 - A^-2, so the framed invariant in the
-    fundamental two-dimensional representation (or a supplied one) equals
-    the unnormalized bracket at A = q^(1/4), with no sign: substitution
-    q = A^4, sign law (-1)^(0*w + 0*c), global sign +1.  The verdict is
-    whether that holds for this link; when it fails no rule is reported.
-    """
+    the sl2 data derive: the braiding eigenvalue is q^(1/4) = A and the
+    loop -[2] is delta = -A^2 - A^-2, so the framed invariant in the
+    fundamental (or a supplied) representation equals the unnormalized
+    bracket at A = q^(1/4) with no sign, the rule (q = A^4, (0, 0), +1).
+    A link where that fails reports no rule."""
     if not link.closed:
         raise OpenTangle("bracket comparison needs a closed diagram")
     if rep is None:

@@ -371,9 +371,8 @@ def _partners(edges) -> dict:
 def _plan(graph, dim: int, rho: Representation | None = None):
     """A closed graph's contraction nodes in order and its matching, after
     the open-leg, fermion-path and cost checks.  The nodes of a plain graph
-    are its vertices; those of a bicolored graph are its gauge vertices
-    and, per fermion cycle, the gauge half-edges along it, whose traces
-    over ``rho`` are charged by _cycle_cost."""
+    are its vertices; those of a bicolored graph its gauge vertices and, per
+    fermion cycle, the gauge half-edges along it, traced over ``rho``."""
     if graph.legs:
         raise OpenGraph("weight of a graph with open legs is not a scalar")
     if isinstance(graph, JacobiGraph):
@@ -462,18 +461,19 @@ def coupled_weight(graph: BicoloredGraph, g: LieAlgebra, rho: Representation,
 
 def _cycle_cost(rho: Representation, k: int) -> int:
     """The work of _cycle_traces(rho, k), in units of MAX_WEIGHT_COST: each
-    nonzero prefix product of length j < k is stepped by all d matrices
-    over the n carrier rows.  The prefixes of length j are at most d^j and
-    at most the 1^T A^j 1 index walks through nonzero entries, where
-    A[i][t] counts the matrices with a nonzero (i, t) entry.  Eight such
-    row steps, 2-4 microseconds, make one unit, about the slowest unit of
-    the contraction.  The sum stops once past the limit."""
-    d, n = len(rho.rows), rho.dim
-    walks, prefixes = [1] * n, 0
-    for j in range(k):
-        prefixes += min(d ** j, sum(walks))
-        if d * n * prefixes > 8 * MAX_WEIGHT_COST:
+    nonzero prefix product of length j < k is stepped by all d matrices over
+    the n carrier rows.  Its prefixes of length j are at most d^j (carried
+    capped at the limit) and at most the 1^T A^j 1 index walks through
+    nonzero entries, A[i][t] counting the matrices nonzero at (i, t).  Eight
+    row steps, 2-4 microseconds, make one unit, about the slowest of the
+    contraction.  The sum stops once past the limit or once no walk is left."""
+    d, n, cap = len(rho.rows), rho.dim, 8 * MAX_WEIGHT_COST
+    walks, prefixes, power = [1] * n, 0, 1
+    for _ in range(k):
+        prefixes += min(power, sum(walks))
+        if d * n * prefixes > cap or not any(walks):
             break
+        power = min(power * d, cap)
         step = [0] * n
         for mat in rho.rows:
             for i, row in enumerate(mat):

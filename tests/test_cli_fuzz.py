@@ -390,6 +390,11 @@ EDGE_CASES = {
     "irrep-wheel-10": ["weights", "--algebra", "sl2", "--rep",
                        "sl2_irrep(1023)", "--graph",
                        graph_to_json(fermion_wheel(10))],
+    # carriers the build admits whose refused estimates are large
+    "irrep-1600-character": ["character", *_SL2, "--rep", "sl2_irrep(1600)",
+                             "--element", "1,0,0", "--order", "1"],
+    "irrep-7199-defect": ["cohomology", *_SL2, "--deformation", "defect",
+                          "--coefficients", "rep:sl2_irrep(7199)"],
 }
 
 

@@ -32,7 +32,7 @@ from rtfactor.quantum_group import (quantum_dimension, ribbon_twist,
 
 from test_lie import (LARGEST_ABELIAN, LARGEST_CARRIER, build_estimate,
                       build_message)
-from test_weights import chord_diagram, disjoint_union
+from test_weights import _killing_pairing, chord_diagram, disjoint_union
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rtfactor"
 README = SRC.parents[1] / "README.md"
@@ -65,13 +65,6 @@ def _prism(sides):
 def _sl3_killing():
     g, _ = builtin("sl3")
     return g, InvariantPairing((tuple(map(tuple, lie.killing_form(g))),))
-
-
-def _trace_pairing(n):
-    """tr(XY) on the fundamental of sl_n: the Killing form over 2n."""
-    g, _ = builtin(f"sln_fundamental({n})")
-    return InvariantPairing((tuple(tuple(x / (2 * n) for x in row)
-                                   for row in lie.killing_form(g)),))
 
 
 def _loop_weight(loops):
@@ -132,9 +125,10 @@ _RT = rt.MAX_SWEEP_COST
 # the most kinks an sl2 unknot sweep admits
 _KINKS = next(k for k in count() if _kinked_unknot_cost(k + 1) > _RT)
 
-# sl2_irrep(9) at order 4: a 10-dim determinant over 10! permutations
+# sl2_irrep(9) at order 4: a 10-dim determinant over 10! permutations,
+# multiplied up to 8!, where the estimate passes the limit
 _CHARACTER_10 = ("character of a 10-dim representation at order 4, estimate",
-                 factorial(10) * 10 * 5 ** 2, clifford.MAX_CHARACTER_COST)
+                 factorial(8) * 10 * 5 ** 2, clifford.MAX_CHARACTER_COST)
 
 
 def _dense_json(name, steps, seed):
@@ -229,6 +223,11 @@ GUARDS = {
         lambda: ce.defect_module(*builtin("sl2_irrep(5)")),
         ("cochain count", 8 * (4 ** 6 - 1), ce.MAX_COCHAINS),
         (ce, "_defect_words")),
+    # 8 (4^7200 - 1) cochains: past str()'s 4300 digits, a power of two prints
+    "ce-defect-unprintable": (
+        lambda: ce.defect_module(*builtin("sl2_irrep(7199)")),
+        ("cochain count", "at least 2^14402", ce.MAX_COCHAINS),
+        (ce, "_defect_words")),
     "clifford-hh0": (
         lambda: clifford.hh0_dimension(clifford.MAX_HH_DIM + 1),
         ("generator count", clifford.MAX_HH_DIM + 1, clifford.MAX_HH_DIM),
@@ -244,6 +243,12 @@ GUARDS = {
     "character-wheel": (
         lambda: clifford.wheel_term(builtin("sl2_irrep(9)")[1], [1, 0, 0], 4),
         _CHARACTER_10, (clifford, "_series_of_matrix")),
+    "character-large-carrier": (  # up to 6!, not the 4437-digit 1601!
+        lambda: clifford.charged_character(*builtin("sl2_irrep(1600)"),
+                                           [1, 0, 0], 1),
+        ("character of a 1601-dim representation at order 1, estimate",
+         factorial(6) * 1601 * 2 ** 2, clifford.MAX_CHARACTER_COST),
+        (clifford, "factorial")),
     "printed-digits": (  # 2^14285 has 4301 digits
         lambda: ring.format_hseries(ring.HSeries.make(0, [Fraction(
             1, 2 ** (_BITS + 1))])),
@@ -357,7 +362,8 @@ ADMITTED = {
     "weights-fermion-cycle": (
         lambda: weights.coupled_weight(
             chord_diagram([(0, 3), (1, 4), (2, 5)]),
-            *builtin("sln_fundamental(5)"), _trace_pairing(5)),
+            *builtin("sln_fundamental(5)"),
+            _killing_pairing(builtin("sln_fundamental(5)")[0], Fraction(1, 10))),
         Fraction(-624, 25)),
     "weights-fermion-loops": (  # a 1000-digit factor, printed
         lambda: len(str(_loop_weight(_LOOPS))), 1 + weights.MAX_LOOP_DIGITS),

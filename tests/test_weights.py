@@ -287,6 +287,14 @@ def test_zero_representation_kills_coupled_weight():
                           _killing_pairing(g)) == 0
 
 
+def test_cycle_over_the_trivial_representation_is_charged_in_one_step():
+    # no index walk survives the zero matrices of abelian(8)'s trivial
+    # representation, so however long the cycle the charge is the one
+    # prefix of length 0, found without forming any power of the dimension
+    _, rho = builtin("abelian(8)")
+    assert weights._cycle_cost(rho, 10 ** 6) == 1
+
+
 def test_open_fermion_path_rejected():
     coupling = ((0, 1, 2), (3, 4, 5))
     graph = make_bicolored_graph((), coupling, (), ((0, 3),), ((1, 5),))
