@@ -108,7 +108,7 @@ def make_sliced_tangle(input_arity: int, slices) -> SlicedTangle:
                 raise ArityMismatch(f"id at position {pos}, width is {width}")
         else:
             raise ArityMismatch(f"unknown piece {piece!r}")
-    return SlicedTangle(input_arity, width, tuple((p, q) for p, q in slices))
+    return SlicedTangle(input_arity, width, tuple(map(tuple, slices)))
 
 
 def braid_closure_sliced(b: BraidWord, kinks: int = 0) -> SlicedTangle:
@@ -118,12 +118,14 @@ def braid_closure_sliced(b: BraidWord, kinks: int = 0) -> SlicedTangle:
     loops, first.  Strand j of the rest is cupped just before the first
     letter touching a position >= j and capped right after the last.  Each
     kink is a curl (CUP, p+1), (+-X, p), (CAP, p+1) on the last strand p
-    after the word, a letter on p.  Refuses, before building anything,
-    closures of m crossings and caps: the RT estimate is over 1 + ... + m."""
-    from .rt import MAX_SWEEP_COST  # rt imports this module
-    s, k, m = b.strands, abs(kinks), len(b.word) + b.strands + 2 * abs(kinks)
+    after the word, a letter on p.  Refuses, before building anything, a
+    closure of m = 2s + letters + 3|kinks| slices whose sweep would pass the
+    limit on its least charge alone, ENTRY_COST + 1 per slice."""
+    from .quantum_group import ENTRY_COST, MAX_SWEEP_COST  # imports this module
+    s, k = b.strands, abs(kinks)
+    m = 2 * s + len(b.word) + 3 * k
     check_size(f"closure of B{s} with {len(b.word) + k} crossings, sweep "
-               "estimate at least", m * (m + 1) // 2, MAX_SWEEP_COST)
+               "charge at least", (ENTRY_COST + 1) * m, MAX_SWEEP_COST)
     rank = {q: r for r, q in enumerate(sorted(set(
         [q for x in b.word for q in (abs(x) - 1, abs(x))] + [s - 1] * (k > 0))))}
     p = len(rank) - 1
@@ -196,10 +198,13 @@ class PDCode:
 
 
 def pd_from_sliced(t: SlicedTangle) -> PDCode:
-    """Arc-trace a closed sliced tangle into a PD code."""
+    """Arc-trace a closed sliced tangle into a PD code.  The bracket charges
+    each crossing and crossing-free loop at least 2 (1 + STATE_COST), for one
+    state of one term: the trace refuses, as it goes, past its limit on that."""
+    from .kauffman import MAX_SWEEP_COST, STATE_COST  # it imports this module
     if not t.closed:
         raise OpenTangle("PD codes are built for closed diagrams")
-    arcs = UnionFind()
+    arcs, steps = UnionFind(), 0  # steps: crossings and loops traced so far
     fresh = iter(range(1, 10 ** 9))
 
     def new_arc() -> int:
@@ -217,6 +222,7 @@ def pd_from_sliced(t: SlicedTangle) -> PDCode:
             strands[pos:pos] = [a, a]
         elif piece == CAP:
             a, b = strands[pos], strands[pos + 1]
+            steps += arcs.find(a) == arcs.find(b)  # closes a crossing-free arc
             arcs.union(a, b)
             del strands[pos:pos + 2]
         else:
@@ -225,6 +231,9 @@ def pd_from_sliced(t: SlicedTangle) -> PDCode:
             c, d = new_arc(), new_arc()
             crossings.append((sign, (a, b, c, d)))
             strands[pos], strands[pos + 1] = c, d
+            steps += 1
+        check_size("PD code of a closed tangle, bracket charge at least",
+                   2 * (1 + STATE_COST) * steps, MAX_SWEEP_COST)
 
     relabel: dict[int, int] = {}
 

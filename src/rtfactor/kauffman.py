@@ -13,14 +13,15 @@ tied by t = A^{-4}, and loops count with delta = -A^2 - A^{-2}.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .diagram import PDCode
 from .errors import check_size
 from .ring import LaurentPoly, drop_zeros
 
-# About 0.3 microseconds per unit: at the limit sigma_1^1414 takes 0.5-0.7 s.
+# A unit (a term made or an open end copied) is about 0.2-0.4 microseconds, a
+# state's dict and sort about STATE_COST: at the limit a sweep takes 0.4-0.9 s.
 MAX_SWEEP_COST = 2_000_000
+STATE_COST = 8
 
 
 def loop_value() -> LaurentPoly:
@@ -43,43 +44,39 @@ def _smoothing_pairs(crossing, choose_a: bool):
     return turnback if choose_a else parallel
 
 
-def sweep_cost(pd: PDCode) -> tuple[int, int]:
-    """Estimated sweep work, and the peak number f of open ends (arcs seen
-    once).  After k crossings there are at most 2^k and about Catalan(f/2)
-    states of about k terms each; the estimate sums k * min(2^k, Catalan)."""
-    open_ends: set[int] = set()
-    cost = peak = 0
-    for k, (_, arcs) in enumerate(pd.crossings, 1):
-        open_ends ^= {arc for arc in arcs if arcs.count(arc) == 1}
-        pairs = len(open_ends) // 2
-        peak = max(peak, len(open_ends))
-        cost += k * min(2 ** k, comb(2 * pairs, pairs) // (pairs + 1))
-    return cost, peak
-
-
 def kauffman_bracket(pd: PDCode, normalized: bool = True) -> LaurentPoly:
     """Kauffman bracket of a planar diagram, exact in A.
 
     Sweeps the crossings in stored order, keeping an {exponent: int} dict
     per connectivity of the open paths (sorted (end, other end) pairs).  Each
     crossing adds its A-smoothing times A and its B-smoothing times A^-1;
-    every loop closed, or arc in no crossing, counts delta.  ``normalized``
-    divides a nonempty diagram by one delta, so the unknot is 1; the
-    quantum-group closure matches the unnormalized value.  Raises
-    DimensionTooLarge when ``sweep_cost`` exceeds ``MAX_SWEEP_COST``."""
-    cost, peak = sweep_cost(pd)
-    check_size(f"bracket sweep of {len(pd.crossings)} crossings, peak {peak} "
-               "open ends, estimate", cost, MAX_SWEEP_COST)
+    every loop closed, and then each arc in no crossing as one more step,
+    counts delta.  ``normalized`` divides a nonempty diagram by one delta, so
+    the unknot is 1; the quantum-group closure matches the unnormalized value.
+    A step makes about two terms per term held (two smoothings, or delta), so
+    before each step the sweep charges twice the terms, open ends and
+    STATE_COST per state held, and raises DimensionTooLarge once the running
+    charge passes MAX_SWEEP_COST."""
     delta = loop_value()
     loop_terms = [(delta ** n).terms for n in range(3)]  # loops = 0, 1, 2
-    # (exponent of A, coefficient) terms of A^(+-1) * delta^loops
-    factors = {choose_a: [[(e + power, c) for e, c in terms] for terms in loop_terms]
-               for choose_a, power in ((True, 1), (False, -1))}
+    # (exponent of A, coefficient) terms of A^power * delta^loops
+    factors = {power: [[(e + power, c) for e, c in terms] for terms in loop_terms]
+               for power in (1, -1, 0)}
+    loose = pd.arcs - {arc for _, arcs in pd.crossings for arc in arcs}
+    steps = [[(_smoothing_pairs(crossing, True), factors[1]),
+              (_smoothing_pairs(crossing, False), factors[-1])]
+             for crossing in pd.crossings]
+    steps += [[(((arc, arc),), factors[0])] for arc in loose]
     states: dict[tuple, dict[int, int]] = {(): {0: 1}}
-    for crossing in pd.crossings:
+    cost = 0
+    for k, smoothings in enumerate(steps, 1):
+        held_ends = len(next(iter(states), ()))  # the same in every state
+        cost += 2 * (sum(map(len, states.values()))
+                     + (held_ends + STATE_COST) * len(states))
+        check_size(f"bracket sweep at step {k} of {len(steps)}, charge", cost,
+                   MAX_SWEEP_COST)
         swept: dict[tuple, dict[int, int]] = {}
-        for choose_a, weights in factors.items():
-            segments = _smoothing_pairs(crossing, choose_a)
+        for segments, weights in smoothings:
             for key, value in states.items():
                 ends, loops = dict(key), 0  # open path end -> its other end
                 for x, y in segments:
@@ -93,8 +90,7 @@ def kauffman_bracket(pd: PDCode, normalized: bool = True) -> LaurentPoly:
                     for e, c in value.items():
                         acc[e + f] = acc.get(e + f, 0) + c * d
         states = drop_zeros(swept)
-    loose = pd.arcs - {arc for _, arcs in pd.crossings for arc in arcs}
-    total = LaurentPoly.from_terms(1, states.get(())) * delta ** len(loose)
+    total = LaurentPoly.from_terms(1, states.get(()))
     return total.divide_exact(delta) if normalized and pd.arcs else total
 
 

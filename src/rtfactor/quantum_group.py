@@ -19,7 +19,8 @@ R_inv, cup and cap (tuples of tuples of LaurentPoly) is what a caller
 supplies and what the tests' oracles multiply.  The move tables ``moves``
 are the sparse form ``sweep`` reads, built on first use and kept on the
 rep, so a sweep finds them without hashing the rep.  ``make_ribbon_rep``
-checks every axiom by sweeping a tiny tangle through those tables.
+checks every axiom by sweeping a tiny tangle through those tables.  The
+sweep charges each slice from the entries it holds before building it.
 """
 from __future__ import annotations
 
@@ -29,10 +30,16 @@ from itertools import product
 from math import lcm
 
 from .diagram import CAP, CUP, ID, NEG_CROSS, POS_CROSS
-from .errors import ArityMismatch, DimensionMismatch, KinkNotScalar
+from .errors import ArityMismatch, DimensionMismatch, KinkNotScalar, check_size
 from .ring import LaurentPoly, drop_zeros
 
 ZERO = LaurentPoly.zero()
+
+# A unit (a term made) is about 0.1-0.3 microseconds, an entry's labels and
+# lookups about ENTRY_COST units: at the limit a sweep takes 1-2 s, and 3.5-6 s
+# where the coefficients grow to thousands of bits (split unknots).
+MAX_SWEEP_COST = 10_000_000
+ENTRY_COST = 8
 
 # Tiny tangles the checks sweep: (input strands, slices).
 _INVERSE = (2, ((NEG_CROSS, 0), (POS_CROSS, 0)))       # R . R_inv
@@ -48,8 +55,9 @@ def _local_moves(matrix, n, arity_in, arity_out, order):
     """Nonzero entries of a local piece, grouped by input labels.
 
     ``matrix`` has n^arity_out rows and n^arity_in columns, both indexed
-    with the first strand as the most significant digit.  The result maps
-    input labels to (output labels, [(exponent at order, coefficient)])."""
+    with the first strand as the most significant digit.  Returns (strands
+    in, strands out, input labels -> [(output labels, [(exponent at order,
+    coefficient)])], fan), where the fan is the most terms one input makes."""
     inputs = list(product(range(n), repeat=arity_in))
     moves = {labels: [] for labels in inputs}
     for out, row in zip(product(range(n), repeat=arity_out), matrix):
@@ -57,7 +65,8 @@ def _local_moves(matrix, n, arity_in, arity_out, order):
             if c:
                 terms = [(e * (order // c.root_order), k) for e, k in c.terms]
                 moves[labels].append((out, terms))
-    return moves
+    fan = max(sum(len(terms) for _, terms in outs) for outs in moves.values())
+    return arity_in, arity_out, moves, fan
 
 
 @dataclass(frozen=True)
@@ -71,20 +80,19 @@ class RibbonRep:
 
     @cached_property
     def moves(self) -> tuple:
-        """Root order of the entries, and piece -> (strands in, strands
-        out, input labels -> [(output labels, [(exponent, coefficient)])])."""
+        """Root order of the entries, and piece -> ``_local_moves`` table."""
         n = self.n
         order = lcm(*(c.root_order for m in (self.R, self.R_inv, self.cup,
                                              self.cap)
                       for row in m for c in row if c))
         return order, {
-            ID: (1, 1, {(a,): [((a,), [(0, 1)])] for a in range(n)}),
-            POS_CROSS: (2, 2, _local_moves(self.R, n, 2, 2, order)),
-            NEG_CROSS: (2, 2, _local_moves(self.R_inv, n, 2, 2, order)),
-            CUP: (0, 2, _local_moves([(c,) for row in self.cup for c in row],
-                                     n, 0, 2, order)),
-            CAP: (2, 0, _local_moves([[c for row in self.cap for c in row]],
-                                     n, 2, 0, order)),
+            ID: (1, 1, {(a,): [((a,), [(0, 1)])] for a in range(n)}, 1),
+            POS_CROSS: _local_moves(self.R, n, 2, 2, order),
+            NEG_CROSS: _local_moves(self.R_inv, n, 2, 2, order),
+            CUP: _local_moves([(c,) for row in self.cup for c in row],
+                              n, 0, 2, order),
+            CAP: _local_moves([[c for row in self.cap for c in row]],
+                              n, 2, 0, order),
         }
 
     @cached_property
@@ -101,17 +109,24 @@ def sweep(rep: RibbonRep, width: int, slices) -> dict:
     to a plain {exponent: nonzero coefficient} dict at the root order
     ``rep.moves[0]``, position 0 the most significant digit of both.  Each
     piece acts through its move table only, and entries that cancel are
-    dropped after every slice, so equal matrices give equal dicts.  Raises
+    dropped after every slice, so equal matrices give equal dicts.  Before
+    building a slice it charges the piece's fan times the terms held plus
+    ENTRY_COST per entry (so at least ENTRY_COST + 1 while any is held), and
+    raises DimensionTooLarge once the running charge passes MAX_SWEEP_COST;
     ArityMismatch when a piece is unknown or does not fit the width."""
     n, (_, pieces) = rep.n, rep.moves
     state = {(labels, col): {0: 1} for col, labels
              in enumerate(product(range(n), repeat=width))}
-    for piece, pos in slices:
+    cost = 0
+    for k, (piece, pos) in enumerate(slices, 1):
         if piece not in pieces:
             raise ArityMismatch(f"unknown piece {piece!r}")
-        span, produced, moves = pieces[piece]
+        span, produced, moves, fan = pieces[piece]
         if not 0 <= pos <= width - span:
             raise ArityMismatch(f"{piece} at {pos}, width {width}")
+        cost += fan * (sum(map(len, state.values())) + ENTRY_COST * len(state))
+        check_size(f"RT sweep at slice {k} of {len(slices)}, charge", cost,
+                   MAX_SWEEP_COST)
         new = {}
         for (labels, col), poly in state.items():
             head, tail = labels[:pos], labels[pos + span:]

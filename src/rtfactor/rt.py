@@ -8,30 +8,22 @@ the formal expansion around h = 0 whose low-order coefficients are
 finite-type invariants.
 
 The composition itself is ``quantum_group.sweep``, the same routine that
-checks the ribbon axioms of every representation; this module puts the
-size guard in front of it and builds on the matrices it returns.
+checks the ribbon axioms of every representation and charges its own work;
+this module charges the dense matrix it builds from the sweep's result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
-from math import comb
 
-from .diagram import (
-    CAP,
-    CUP,
-    NEG_CROSS,
-    POS_CROSS,
-    SlicedTangle,
-    pd_from_sliced,
-    writhe,
-)
+from .diagram import SlicedTangle, pd_from_sliced, writhe
 from .errors import NonInvertibleNormalizer, OpenTangle, check_size
 from .kauffman import kauffman_bracket
 from .quantum_group import (
+    ENTRY_COST,
+    MAX_SWEEP_COST,
     RibbonRep,
     quantum_dimension,
     ribbon_twist,  # unused here; perfbench/tracing.py wraps rt.ribbon_twist
@@ -39,9 +31,6 @@ from .quantum_group import (
     sweep,
 )
 from .ring import HSeries, LaurentPoly, laurent_to_hseries, series_inverse
-
-# At most about 0.6 microseconds per unit: at the limit a sweep takes 0.5-6 s.
-MAX_SWEEP_COST = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -53,47 +42,25 @@ class TangleValue:
     matrix: tuple  # n^output_arity rows, n^input_arity columns
 
 
-@lru_cache(maxsize=None)
-def _balanced(width: int, n: int) -> int:
-    """Label tuples of length ``width`` with each a as often as n-1-a."""
-    return int(width % 2 == 0 and (n == 1 or width == 0)) if n < 2 else sum(
-        comb(width, 2 * k) * comb(2 * k, k) * _balanced(width - 2 * k, n - 2)
-        for k in range(width // 2 + 1))
-
-
-def sweep_cost(t: SlicedTangle, n: int) -> tuple[int, int]:
-    """Estimated sweep work from the slice widths alone, and the peak width:
-    cups pair labels and crossings permute them, so only balanced tuples on
-    a slice and its inputs are reached, each entry gaining about n - 1
-    terms per crossing or cap."""
-    width = peak = t.input_arity
-    cost, terms = 0, 1
-    for piece, _ in t.slices:
-        width += {CUP: 2, CAP: -2}.get(piece, 0)
-        peak = max(peak, width)
-        terms += max(n - 1, 1) * (piece in (POS_CROSS, NEG_CROSS, CAP))
-        cost += _balanced(t.input_arity + width, n) * terms
-    return cost, peak
-
-
 def evaluate_sliced_tangle(t: SlicedTangle, rep: RibbonRep) -> TangleValue:
     """Compose the slice operators left to right and return the matrix.
 
     Positive crossings apply the stored braiding, negative crossings its
     inverse, cups and caps apply the coevaluation and evaluation data of
-    the representation.  Raises DimensionTooLarge before any arithmetic
-    (see ``sweep_cost``) and ArityMismatch when a slice position does not
-    fit the running width.
+    the representation.  Charges ENTRY_COST for each of the n^in input
+    columns and n^(in+out) entries before the sweep, which charges its
+    slices: either raises DimensionTooLarge past MAX_SWEEP_COST.  Raises
+    ArityMismatch when a slice position does not fit the running width.
     """
-    cost, peak = sweep_cost(t, rep.n)
-    check_size(f"RT sweep of {len(t.slices)} slices, peak width {peak}, "
-               "estimate", cost, MAX_SWEEP_COST)
-    state = sweep(rep, t.input_arity, t.slices)
+    n, a, b = rep.n, t.input_arity, t.output_arity
+    check_size(f"RT matrix of {a} to {b} strands, charge",
+               ENTRY_COST * (n ** a + n ** (a + b)), MAX_SWEEP_COST)
+    state = sweep(rep, a, t.slices)
     order = rep.moves[0]
-    return TangleValue(t.input_arity, t.output_arity, tuple(
+    return TangleValue(a, b, tuple(
         tuple(LaurentPoly.from_terms(order, state.get((out, col), {}))
-              for col in range(rep.n ** t.input_arity))
-        for out in product(range(rep.n), repeat=t.output_arity)))
+              for col in range(n ** a))
+        for out in product(range(n), repeat=b)))
 
 
 def framed_invariant(link: SlicedTangle, rep: RibbonRep) -> LaurentPoly:

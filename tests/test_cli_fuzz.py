@@ -5,8 +5,8 @@ errors return 0 or 1; usage errors leave through argparse's SystemExit(2).
 Any other exception fails the test and names the command line, and so does
 exit 0 with an order above ``MAX_SERIES_ORDER``, a built-in curve with more
 segment pairs than ``MAX_SEGMENT_PAIRS``, a link of 10^6 or more framing
-kinks, an ``invariant`` of a wide braid whose sweep estimate is above
-``rt.MAX_SWEEP_COST``, a ``character`` estimate above
+kinks, an ``invariant`` of a wide braid whose sweep charge passes
+``quantum_group.MAX_SWEEP_COST``, a ``character`` estimate above
 ``clifford.MAX_CHARACTER_COST``, or an ``--epsilon`` that is not a finite
 positive number.  Inputs stay small: braids of at most 4 strands and
 8 letters (30 for ``bracket`` and ``jones``) or a few fixed wide braids,
@@ -26,13 +26,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rtfactor import rt
 from rtfactor.cli import main
 from rtfactor.clifford import MAX_CHARACTER_COST
 from rtfactor.confint import MAX_SEGMENT_PAIRS, hopf_pair
 from rtfactor.diagram import CATALOG, LINK_ALIASES, resolve_link
+from rtfactor.errors import DimensionTooLarge
 from rtfactor.lie import algebra_to_json, builtin
+from rtfactor.quantum_group import sln_fundamental_ribbon
 from rtfactor.ring import MAX_SERIES_ORDER
+from rtfactor.rt import framed_invariant
 from rtfactor.weights import (fermion_wheel, generate_trivalent_family,
                               graph_to_json)
 
@@ -93,13 +95,27 @@ HUGE_KINK_LINKS = [json.dumps({"braid": {"strands": strands, "word": word},
                                "framing_kinks": kinks})
                    for strands, word in ((1, []), (2, [1, 1, 1]))
                    for kinks in HUGE_KINKS]
-# Up to 18 strands wide; some are above the sweep limit at sl3 or sl4.
+# Up to 18 strands wide; some pass the sweep limit at sl3 or sl4.
 WIDE_BRAIDS = ["B9:1,2,3,4,5,6,7,8,-1,-2,-3,-4,-5,-6,-7,-8",
                "B8:1,2,3,4,5,6,7", "B6:1,2,3,4,5", "B5:1,2,3,4,1,2,3,4",
                "B12:11"]
-WIDE_REFUSED = {(braid, f"sl{n}") for braid in WIDE_BRAIDS for n in (2, 3, 4)
-                if rt.sweep_cost(resolve_link(braid).tangle(), n)[0]
-                > rt.MAX_SWEEP_COST}
+# The sweep's verdicts on them, checked below: the charge of these passes
+# the limit, at slices 19, 15 and 15 after 1.3-1.6 s; the rest take at most
+# 0.3 s.
+WIDE_REFUSED = {(WIDE_BRAIDS[0], "sl3"), (WIDE_BRAIDS[0], "sl4"),
+                (WIDE_BRAIDS[1], "sl4")}
+
+
+@pytest.mark.parametrize("braid", WIDE_BRAIDS)
+def test_wide_refused_holds_the_sweep_verdicts(braid):
+    tangle = resolve_link(braid).tangle()
+    for n in (2, 3, 4):
+        try:
+            framed_invariant(tangle, sln_fundamental_ribbon(n))
+        except DimensionTooLarge:
+            assert (braid, f"sl{n}") in WIDE_REFUSED
+        else:
+            assert (braid, f"sl{n}") not in WIDE_REFUSED
 
 
 def _links(max_letters):

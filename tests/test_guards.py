@@ -20,11 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rtfactor import (ce, cli, clifford, confint, diagram, kauffman, lie, ring,
-                      rt, weights)
+from rtfactor import (ce, cli, clifford, confint, diagram, kauffman, lie,
+                      quantum_group, ring, rt, weights)
 from rtfactor._linalg import row_mul_add
-from rtfactor.diagram import (LinkSpec, braid_closure_sliced, make_braid,
-                              pd_from_sliced)
+from rtfactor.diagram import LinkSpec, make_braid, pd_from_sliced
 from rtfactor.errors import DimensionTooLarge
 from rtfactor.lie import InvariantPairing, builtin
 from rtfactor.quantum_group import (quantum_dimension, ribbon_twist,
@@ -88,26 +87,23 @@ def _circle(samples):
         np.stack([np.cos(t), np.sin(t), np.zeros(samples)], axis=1))
 
 
-def _two_strand_twist(crossings):
-    return pd_from_sliced(braid_closure_sliced(make_braid(2, [1] * crossings)))
-
-
 def _kinked_unknot(kinks):
     return LinkSpec(make_braid(1, ()), kinks).tangle()
 
 
-def _kinked_unknot_cost(kinks):
-    """rt.sweep_cost of the kinked unknot at sl2.  The opening cup costs 2;
-    curl i costs 6 (2i - 1) + 6 (2i) + 2 (2i + 1) for its cup, crossing and
-    cap; the closing cap 2k + 2.  In all 14k^2 + 12k + 4."""
-    return 14 * kinks ** 2 + 12 * kinks + 4
+def _kinked_unknot_charge(kinks):
+    """quantum_group.sweep's charge of the kinked unknot at sl2, fan times
+    (terms + 8 per entry) for each slice.  The opening cup costs 2 (1 + 8);
+    each curl's cup 2 (2 + 2 * 8), crossing 3 (4 + 4 * 8) and cap 6 + 5 * 8,
+    190 in all; the closing cap 2 + 2 * 8.  In all 190k + 36."""
+    return 190 * kinks + 36
 
 
 def _closure_bound(strands, letters, kinks):
-    """1 + 2 + ... + m over the m crossings and caps of a closure: less
-    than its RT estimate, and what its builder checks."""
-    m = letters + strands + 2 * kinks
-    return m * (m + 1) // 2
+    """ENTRY_COST + 1 = 9 units for each of the 2s + letters + 3|kinks|
+    slices of a closure: the least its sweep charges, and what its builder
+    checks."""
+    return 9 * (2 * strands + letters + 3 * kinks)
 
 
 def _invariant(order):
@@ -120,10 +116,15 @@ def _invariant(order):
 _PAIRS = confint.MAX_SEGMENT_PAIRS
 # the longest bit length whose digit estimate is at the limit: 14284
 _BITS = (ring.MAX_PRINTED_DIGITS * 100000 - 1) // 30103
-_SWEEP = isqrt(kauffman.MAX_SWEEP_COST) + 1  # sigma_1^c costs c^2
-_RT = rt.MAX_SWEEP_COST
-# the most kinks an sl2 unknot sweep admits
-_KINKS = next(k for k in count() if _kinked_unknot_cost(k + 1) > _RT)
+_RT = quantum_group.MAX_SWEEP_COST
+# the most kinks an sl2 unknot sweep admits: 52631, in about 2 s
+_KINKS = (_RT - _kinked_unknot_charge(0)) // 190
+# The bracket of the kinked unknot holds one state of one term and two open
+# ends: 2 (1 + 8) for the first crossing, 2 (1 + 2 + 8) for each other, so
+# 22k - 4 after k crossings.  The most it admits: 90909.
+_BRACKET_KINKS = (kauffman.MAX_SWEEP_COST + 4) // 22
+# the fewest crossings the PD trace refuses, at 18 each
+_TRACED = kauffman.MAX_SWEEP_COST // 18 + 1
 
 # sl2_irrep(9) at order 4: a 10-dim determinant over 10! permutations,
 # multiplied up to 8!, where the estimate passes the limit
@@ -176,7 +177,8 @@ _DENSE_SL6 = _dense_json("sln_fundamental(6)", 100, 3)
 _WHEEL_10 = ("weight contraction of 1 nodes, peak frontier 0, estimate",
              1 + 192 * (3 ** 8 - 1), weights.MAX_WEIGHT_COST)
 
-# id: (refused call, (what, size, limit), costly step (module, attribute))
+# id: (refused call, (what, size, limit), costly step (module, attribute[,
+# calls it makes before the guard refuses]))
 GUARDS = {
     "series-order": (
         lambda: ring.HSeries.make(ring.MAX_SERIES_ORDER + 1, [1]),
@@ -255,22 +257,36 @@ GUARDS = {
         ("coefficient digits", ring.MAX_PRINTED_DIGITS + 1,
          ring.MAX_PRINTED_DIGITS),
         (Fraction, "__str__")),
+    # The opening cup, _KINKS curls and the next curl's cup stay under the
+    # limit (190 _KINKS + 54); that curl's crossing, slice 3 _KINKS + 3,
+    # passes it, and every slice before it is built.
     "rt-sweep": (
         lambda: rt.framed_invariant(_kinked_unknot(_KINKS + 1),
                                     sln_fundamental_ribbon(2)),
-        (f"RT sweep of {3 * _KINKS + 5} slices, peak width 4, estimate",
-         _kinked_unknot_cost(_KINKS + 1), _RT),
+        (f"RT sweep at slice {3 * _KINKS + 3} of {3 * _KINKS + 5}, charge",
+         18 + 190 * _KINKS + 36 + 108, _RT),
+        (quantum_group, "drop_zeros", 3 * _KINKS + 2)),
+    "rt-matrix": (  # 4^6 input columns and 4^12 entries, refused at once
+        lambda: rt.evaluate_sliced_tangle(diagram.make_sliced_tangle(6, ()),
+                                          sln_fundamental_ribbon(4)),
+        ("RT matrix of 6 to 6 strands, charge", 8 * (4 ** 6 + 4 ** 12), _RT),
         (rt, "sweep")),
     "closure-kinks": (
         lambda: _kinked_unknot(10 ** 12),
-        (f"closure of B1 with {10 ** 12} crossings, sweep estimate at least",
+        (f"closure of B1 with {10 ** 12} crossings, sweep charge at least",
          _closure_bound(1, 0, 10 ** 12), _RT),
         (diagram, "make_sliced_tangle")),
     "kauffman-sweep": (
-        lambda: kauffman.kauffman_bracket(_two_strand_twist(_SWEEP)),
-        (f"bracket sweep of {_SWEEP} crossings, peak 4 open ends, estimate",
-         _SWEEP ** 2, kauffman.MAX_SWEEP_COST),
-        (kauffman, "loop_value")),
+        lambda: kauffman.kauffman_bracket(
+            pd_from_sliced(_kinked_unknot(_BRACKET_KINKS + 1))),
+        (f"bracket sweep at step {_BRACKET_KINKS + 1} of {_BRACKET_KINKS + 1}"
+         ", charge", 22 * (_BRACKET_KINKS + 1) - 4, kauffman.MAX_SWEEP_COST),
+        (kauffman, "drop_zeros", _BRACKET_KINKS)),
+    "bracket-trace": (
+        lambda: pd_from_sliced(_kinked_unknot(_TRACED)),
+        ("PD code of a closed tangle, bracket charge at least", 18 * _TRACED,
+         kauffman.MAX_SWEEP_COST),
+        (diagram, "PDCode")),
     "weights-cost": (  # 18 vertices, 5 open half-edges at the peak
         lambda: weights.lie_weight(_prism(9), *_sl3_killing()),
         ("weight contraction of 18 nodes, peak frontier 5, estimate",
@@ -309,10 +325,14 @@ GUARDS = {
 @pytest.mark.parametrize("name", sorted(GUARDS))
 def test_guard_refuses_above_the_limit_before_the_costly_step(monkeypatch,
                                                               name):
-    call, (what, size, limit), (module, costly) = GUARDS[name]
+    call, (what, size, limit), (module, costly, *before) = GUARDS[name]
+    original, left = getattr(module, costly), count(sum(before), -1)
 
     def fail(*args, **kwargs):
-        raise AssertionError(f"{module.__name__}.{costly} ran before the guard")
+        if next(left) <= 0:
+            raise AssertionError(
+                f"{module.__name__}.{costly} ran before the guard")
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, costly, fail)
     with pytest.raises(DimensionTooLarge) as exc:
@@ -377,11 +397,17 @@ ADMITTED = {
         lambda: len(ring.format_hseries(ring.HSeries.make(0, [Fraction(
             1, 2 ** (_BITS - 1))]))),
         len("1/ + O(h^1)") + ring.MAX_PRINTED_DIGITS),
-    "rt-sweep": (  # at the limit; the slowest admitted sweeps take seconds
+    "rt-sweep": (  # charged 190 _KINKS + 36, at the limit; about 2 s
         lambda: rt.framed_invariant(_kinked_unknot(_KINKS),
                                     sln_fundamental_ribbon(2)),
         quantum_dimension(sln_fundamental_ribbon(2))
         * ribbon_twist(sln_fundamental_ribbon(2)) ** _KINKS),
+    "rt-matrix": (  # the identity on 3 strands at sl4, 64 x 64
+        lambda: rt.evaluate_sliced_tangle(
+            diagram.make_sliced_tangle(3, ()), sln_fundamental_ribbon(4)
+        ).matrix == tuple(tuple(ring.LaurentPoly.from_terms(1, {0: int(i == j)})
+                                for j in range(64)) for i in range(64)),
+        True),
 }
 
 
@@ -416,9 +442,10 @@ CLI_REFUSALS = [
     (["weights", "--algebra", "sl2", "--graph",
       '{"coupling_vertices": [], "fermion_loops": 20000}'],
      _message("fermion loop factor (-2)^20000, digits", 6021, 1000)),
-    (["bracket", "--link", "B2:" + ",".join(["1"] * 1415)],
-     _message("bracket sweep of 1415 crossings, peak 4 open ends, estimate",
-              1415 ** 2, 2_000_000)),
+    (["bracket", "--link", json.dumps({"braid": {"strands": 1, "word": []},
+                                       "framing_kinks": _TRACED})],
+     _message("PD code of a closed tangle, bracket charge at least",
+              18 * _TRACED, 2_000_000)),
     (["linking", "--curves", "circle", "--samples", "2049"],
      _message("segment pair count", 2049 ** 2, 2048 ** 2)),
     (["linking", "--curves", "hopf", "--samples", str(10 ** 30)],
@@ -430,14 +457,15 @@ _WIDE = "B9:1,2,3,4,5,6,7,8,-1,-2,-3,-4,-5,-6,-7,-8"
 _HUGE_KINKS = '{"braid": {"strands": 1, "word": []}, "framing_kinks": %d}' % (
     10 ** 12)
 _HUGE_CLOSURE = _message(
-    f"closure of B1 with {10 ** 12} crossings, sweep estimate at least",
+    f"closure of B1 with {10 ** 12} crossings, sweep charge at least",
     _closure_bound(1, 0, 10 ** 12), _RT)
 # The RT sweep and closure guards, one above the limit: (id, argv, message)
 LINK_REFUSALS = [
+    # The cup opening the ninth strand is slice 14, charged 2801664; the
+    # crossing after it would be charged 8404992 more.
     ("invariant-sweep",
      ["invariant", "--link", _WIDE, "--algebra", "sl4", "--framed"],
-     _message("RT sweep of 34 slices, peak width 18, estimate",
-              rt.sweep_cost(diagram.resolve_link(_WIDE).tangle(), 4)[0], _RT)),
+     _message("RT sweep at slice 15 of 34, charge", 14083492, _RT)),
     ("invariant-kinks",
      ["invariant", "--link", _HUGE_KINKS, "--algebra", "sl2", "--framed"],
      _HUGE_CLOSURE),

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
@@ -23,9 +22,10 @@ from rtfactor.kauffman import (
     jones_polynomial,
     kauffman_bracket,
     loop_value,
-    sweep_cost,
 )
-from rtfactor.ring import LaurentPoly, parse_laurent
+from rtfactor.ring import LaurentPoly, drop_zeros, parse_laurent
+
+from test_rt import _peak_width
 
 
 def _state_sum(pd):
@@ -211,43 +211,49 @@ def _two_strand_twist(crossings):
     return pd_from_sliced(braid_closure_sliced(make_braid(2, [1] * crossings)))
 
 
+# The charge of sigma_1^c grows about as c^2 + 48c: two states of about c/2
+# terms each, and four open ends, per crossing.
+_LARGEST_TWIST = 1389
+
+
 def test_largest_admitted_sweep_finishes_and_next_is_refused(monkeypatch):
-    # sigma_1^c keeps four open ends until the last crossing closes them,
-    # so its estimate is 2 + 4 + ... + 2(c - 1) + c = c^2.
-    largest = isqrt(MAX_SWEEP_COST)
-    pd = _two_strand_twist(largest)
-    assert sweep_cost(pd) == (largest ** 2, 4)
-    value = kauffman_bracket(pd)
+    value = kauffman_bracket(_two_strand_twist(_LARGEST_TWIST))
     # At A = 1 the bracket is (-1)^writhe (-2)^(components - 1).
-    components = 1 if largest % 2 else 2
-    assert value.at_one() == (-1) ** largest * Fraction(-2) ** (components - 1)
+    components = 1 if _LARGEST_TWIST % 2 else 2
+    assert value.at_one() == (-1) ** _LARGEST_TWIST * Fraction(-2) ** (
+        components - 1)
 
-    def no_arithmetic():
-        raise AssertionError("the guard must refuse before any arithmetic")
+    swept = []
 
-    monkeypatch.setattr(kauffman, "loop_value", no_arithmetic)
+    def counted(states):
+        swept.append(len(states))
+        return drop_zeros(states)
+
+    monkeypatch.setattr(kauffman, "drop_zeros", counted)
+    crossings = _LARGEST_TWIST + 1
     with pytest.raises(DimensionTooLarge) as exc:
-        kauffman_bracket(_two_strand_twist(largest + 1))
-    assert str(MAX_SWEEP_COST) in str(exc.value)
-    assert str((largest + 1) ** 2) in str(exc.value)
+        kauffman_bracket(_two_strand_twist(crossings))
+    message = str(exc.value)
+    assert message.startswith(
+        f"bracket sweep at step {crossings} of {crossings}, charge ")
+    assert message.endswith(f" exceeds the limit {MAX_SWEEP_COST}")
+    # every crossing before the one past the limit was swept, that one not
+    assert len(swept) == _LARGEST_TWIST
 
 
 def test_curl_loop_arc_closes_at_its_crossing():
     # The curl's loop arc is listed twice at its one crossing: it opens and
-    # closes there, so no end stays open.
+    # closes there, so no end stays open and the bracket is one kink.
     pd = _pd("unknot_pos_kink")[0]
     assert [arcs for _, arcs in pd.crossings] == [(1, 2, 1, 2)]
-    assert sweep_cost(pd) == (1, 0)
-    kinked = pd_from_sliced(LinkSpec(make_braid(2, [1, 1, 1]), 3).tangle())
-    assert sweep_cost(kinked)[1] == 4
+    assert kauffman_bracket(pd) == LaurentPoly.q_power(3, 1, -1)
+    kinked = LinkSpec(make_braid(2, [1, 1, 1]), 3).tangle()
+    assert _peak_width(kinked) == 2 * 2 + 2
 
 
-def test_sweep_cost_follows_open_ends_not_crossings():
+def test_bracket_charge_follows_open_ends_not_crossings():
     wide = make_braid(8, [1, 2, 3, 4, 5, 6, 7] * 20)
-    cost, peak = sweep_cost(pd_from_sliced(braid_closure_sliced(wide)))
-    assert peak == 16
-    assert cost > MAX_SWEEP_COST
     with pytest.raises(DimensionTooLarge):
         kauffman_bracket(pd_from_sliced(braid_closure_sliced(wide)))
-    narrow = _two_strand_twist(140)
-    assert sweep_cost(narrow) == (140 ** 2, 4)
+    narrow = kauffman_bracket(_two_strand_twist(140))
+    assert narrow.at_one() == Fraction(-2)  # two components, writhe 140
